@@ -12,6 +12,7 @@
 #include <cstdlib>
 
 #include "core/analysis.hh"
+#include "core/sweep.hh"
 #include "core/topology_search.hh"
 
 int
@@ -36,11 +37,14 @@ main(int argc, char **argv)
     base.sim.batchCycles = 3000;
     base.sim.numBatches = 4;
 
+    // Every candidate is an independent run: simulate them all in
+    // parallel on one sweep runner (one worker per hardware thread).
+    SweepRunner runner;
     std::printf("ranking ring hierarchies for %d processors, %dB "
-                "lines (R=1.0, C=0.04, T=4)...\n\n",
-                processors, line);
+                "lines (R=1.0, C=0.04, T=4) on %u workers...\n\n",
+                processors, line, runner.jobs());
 
-    const auto ranked = rankHierarchies(processors, base);
+    const auto ranked = rankHierarchies(processors, base, runner);
     std::printf("%-4s %-12s %12s %14s\n", "#", "topology",
                 "latency(cyc)", "global util");
     int rank = 1;

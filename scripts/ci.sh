@@ -38,7 +38,8 @@ src=$(cd "$(dirname "$0")/.." && pwd)
 # placement-new pool — raw masks and lifetimes, ASan/TSan territory.
 # TickPool/TickParallel cover the intra-run shard engine: the epoch
 # barrier and the frozen-FIFO shard isolation (DESIGN.md section 15).
-SANITIZED_FILTER='Sweep|AdaptiveSystem|RunController|ActiveSet|RingDeque|StagedFifo|BatchMeans|TQuantile|Mser|Fault|LayoutSmoke|StablePool|TickPool|TickParallel|Checkpoint'
+# RankHierarchies runs the Table 2 search on the sweep pool.
+SANITIZED_FILTER='Sweep|AdaptiveSystem|RunController|ActiveSet|RingDeque|StagedFifo|BatchMeans|TQuantile|Mser|Fault|LayoutSmoke|StablePool|TickPool|TickParallel|Checkpoint|RankHierarchies'
 
 run_release() {
     cmake -B "$src/build-ci" -S "$src" -DCMAKE_BUILD_TYPE=Release

@@ -38,6 +38,10 @@
  * results are written by submission index, so claim order is
  * invisible in the output: serial and parallel sweeps stay
  * bit-identical.
+ *
+ * Consumers beyond the figure sweeps: rankHierarchies (core/
+ * topology_search.hh), the Table 2 search, runs a cell's candidate
+ * hierarchies as one batch on a runner, so it shares the pool.
  */
 
 #ifndef HRSIM_CORE_SWEEP_HH

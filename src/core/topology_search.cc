@@ -46,21 +46,29 @@ enumerateHierarchies(int processors, int max_levels)
 
 std::vector<TopologyCandidate>
 rankHierarchies(int processors, const SystemConfig &base,
-                int max_levels)
+                SweepRunner &runner, int max_levels)
 {
-    std::vector<TopologyCandidate> ranked;
-    for (const std::string &topo :
-         enumerateHierarchies(processors, max_levels)) {
+    const std::vector<std::string> topologies =
+        enumerateHierarchies(processors, max_levels);
+    std::vector<SystemConfig> points;
+    points.reserve(topologies.size());
+    for (const std::string &topo : topologies) {
         SystemConfig cfg = base;
         cfg.kind = NetworkKind::HierarchicalRing;
         cfg.ringTopo = RingTopology::parse(topo);
-        const RunResult result = runSystem(cfg);
+        points.push_back(std::move(cfg));
+    }
+    const std::vector<RunResult> results = runner.run(points);
+
+    std::vector<TopologyCandidate> ranked;
+    ranked.reserve(results.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
         TopologyCandidate candidate;
-        candidate.topology = topo;
-        candidate.latency = result.avgLatency;
-        if (!result.ringLevelUtilization.empty())
+        candidate.topology = topologies[i];
+        candidate.latency = results[i].avgLatency;
+        if (!results[i].ringLevelUtilization.empty())
             candidate.utilizationGlobal =
-                result.ringLevelUtilization.front();
+                results[i].ringLevelUtilization.front();
         ranked.push_back(candidate);
     }
     std::sort(ranked.begin(), ranked.end(),
@@ -68,6 +76,14 @@ rankHierarchies(int processors, const SystemConfig &base,
                   return a.latency < b.latency;
               });
     return ranked;
+}
+
+std::vector<TopologyCandidate>
+rankHierarchies(int processors, const SystemConfig &base,
+                int max_levels)
+{
+    SweepRunner runner;
+    return rankHierarchies(processors, base, runner, max_levels);
 }
 
 } // namespace hrsim

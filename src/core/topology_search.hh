@@ -4,9 +4,10 @@
  *
  * Enumerates every ordered factorization of the processor count into
  * up to four levels and simulates each candidate under a given
- * workload, returning them ranked by measured latency. This is how
- * the paper's Table 2 ("optimal hierarchical ring topology for a
- * given number of processors and cache line size") is regenerated.
+ * workload on a SweepRunner's pool, returning them ranked by measured
+ * latency. This is how the paper's Table 2 ("optimal hierarchical ring
+ * topology for a given number of processors and cache line size") is
+ * regenerated.
  */
 
 #ifndef HRSIM_CORE_TOPOLOGY_SEARCH_HH
@@ -15,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/sweep.hh"
 #include "core/system.hh"
 
 namespace hrsim
@@ -37,9 +39,16 @@ std::vector<std::string> enumerateHierarchies(int processors,
 
 /**
  * Simulate every candidate hierarchy of @a processors under the
- * workload in @a base (its ring topology field is overridden) and
- * return them sorted by ascending latency.
+ * workload in @a base (its ring topology field is overridden) as one
+ * batch on @a runner, and return them sorted by ascending latency.
+ * The ranking is the same at any runner width (SweepRunner's
+ * determinism contract).
  */
+std::vector<TopologyCandidate>
+rankHierarchies(int processors, const SystemConfig &base,
+                SweepRunner &runner, int max_levels = 4);
+
+/** As above, on a local runner of hardware_concurrency() workers. */
 std::vector<TopologyCandidate>
 rankHierarchies(int processors, const SystemConfig &base,
                 int max_levels = 4);

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "core/topology_search.hh"
 
@@ -93,6 +94,35 @@ TEST(RankHierarchies, SortedAscending)
     const auto ranked = rankHierarchies(8, base, 2);
     for (std::size_t i = 1; i < ranked.size(); ++i)
         EXPECT_LE(ranked[i - 1].latency, ranked[i].latency);
+}
+
+TEST(RankHierarchies, RunnerWidthDoesNotChangeRanking)
+{
+    SystemConfig base;
+    base.cacheLineBytes = 64;
+    base.workload.localityR = 1.0;
+    base.workload.outstandingT = 4;
+    base.sim.warmupCycles = 800;
+    base.sim.batchCycles = 800;
+    base.sim.numBatches = 2;
+
+    SweepOptions serial_opts;
+    serial_opts.jobs = 1;
+    SweepRunner serial(serial_opts);
+    SweepOptions parallel_opts;
+    parallel_opts.jobs = 4;
+    SweepRunner parallel(parallel_opts);
+
+    const auto a = rankHierarchies(24, base, serial);
+    const auto b = rankHierarchies(24, base, parallel);
+    ASSERT_EQ(a.size(), enumerateHierarchies(24).size());
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        SCOPED_TRACE("rank " + std::to_string(i));
+        EXPECT_EQ(a[i].topology, b[i].topology);
+        EXPECT_EQ(a[i].latency, b[i].latency);
+        EXPECT_EQ(a[i].utilizationGlobal, b[i].utilizationGlobal);
+    }
 }
 
 } // namespace
