@@ -9,7 +9,7 @@
  *
  * Setting HRSIM_METRICS_OUT=FILE additionally serializes every point
  * the binary simulates — full metric registry plus run manifest — to
- * FILE in the standard hrsim-metrics-v1 JSON schema, labelled
+ * FILE in the standard hrsim-metrics-v2 JSON schema, labelled
  * "<series> P=<processors>" so each plotted sample can be traced back
  * to its underlying counters (see EXPERIMENTS.md).
  */
@@ -110,7 +110,7 @@ meshConfig(int width, std::uint32_t line_bytes,
 
 /**
  * Process-wide HRSIM_METRICS_OUT collector: accumulates the metric
- * point of every simulated config and writes one hrsim-metrics-v1
+ * point of every simulated config and writes one hrsim-metrics-v2
  * JSON artifact when the binary exits. Disabled (and free) unless the
  * environment variable is set.
  */

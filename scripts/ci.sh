@@ -8,10 +8,9 @@
 #                adaptive_smoke, fault_smoke, ckpt_smoke).
 #  2. tsan     — -DHRSIM_SANITIZE=thread, the concurrency-sensitive
 #                tests (sweep engine, adaptive run control, active-set
-#                scheduler, fault replay under parallel sweeps, the
-#                TickPool barrier and the shard-parallel tick grid):
-#                the parallel sweep's work-claiming/result reaping and
-#                the tick engine's shard isolation must be race-free.
+#                scheduler, fault replay under parallel sweeps): the
+#                parallel sweep's work-claiming and result reaping
+#                must be race-free.
 #  3. asan     — -DHRSIM_SANITIZE=address, the same test set plus the
 #                container/stats units: the hot-path ring buffers and
 #                the adaptive batch storage index with raw masks and
@@ -36,10 +35,8 @@ src=$(cd "$(dirname "$0")/.." && pwd)
 # exercises threads, the adaptive controller, or raw-index storage.
 # LayoutSmoke/StablePool cover the columnar bitmap scans and the
 # placement-new pool — raw masks and lifetimes, ASan/TSan territory.
-# TickPool/TickParallel cover the intra-run shard engine: the epoch
-# barrier and the frozen-FIFO shard isolation (DESIGN.md section 15).
 # RankHierarchies runs the Table 2 search on the sweep pool.
-SANITIZED_FILTER='Sweep|AdaptiveSystem|RunController|ActiveSet|RingDeque|StagedFifo|BatchMeans|TQuantile|Mser|Fault|LayoutSmoke|StablePool|TickPool|TickParallel|Checkpoint|RankHierarchies'
+SANITIZED_FILTER='Sweep|AdaptiveSystem|RunController|ActiveSet|RingDeque|StagedFifo|BatchMeans|TQuantile|Mser|Fault|LayoutSmoke|StablePool|Checkpoint|RankHierarchies'
 
 run_release() {
     cmake -B "$src/build-ci" -S "$src" -DCMAKE_BUILD_TYPE=Release

@@ -214,7 +214,7 @@ struct CheckpointHeader
 };
 
 /** Current on-disk schema version. Bump on any layout change. */
-constexpr std::uint32_t ckptSchemaVersion = 1;
+constexpr std::uint32_t ckptSchemaVersion = 2;
 
 /**
  * Atomically write @a header + @a payload to @a path (temporary file

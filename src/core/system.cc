@@ -6,7 +6,6 @@
 #include "ckpt/codec.hh"
 #include "ckpt/result_io.hh"
 #include "common/log.hh"
-#include "core/tick_pool.hh"
 #include "mesh/mesh_network.hh"
 #include "obs/manifest.hh"
 #include "ring/slotted_network.hh"
@@ -140,24 +139,6 @@ System::System(const SystemConfig &cfg)
     // Must precede registerSystemMetrics(): the streamed-flits
     // metrics register only when the fast path is on.
     network_->setFastPath(fastPathEnabled());
-
-    // Shard-parallel tick engine (core/tick_pool.hh). The pool is
-    // only built when asked for, and the network only engages it
-    // under the columnar active-scheduled engine — the oracle modes
-    // keep the serial tick, so a parallel run can always be diffed
-    // against them. Must precede registerSystemMetrics(): the tick.*
-    // counters register only when shards can actually run.
-    if (cfg_.sim.tickThreads > 1) {
-        tickPool_ = std::make_unique<TickPool>(
-            static_cast<unsigned>(cfg_.sim.tickThreads));
-        network_->setTickParallel(tickPool_.get());
-        // Mirrors the networks' engagement rule; the slotted ring
-        // has no parallel engine at all.
-        tickParallelEngaged_ =
-            activeSched_ && columnarEnabled() &&
-            !(cfg_.kind == NetworkKind::HierarchicalRing &&
-              cfg_.ringSlotted);
-    }
 
     registerSystemMetrics();
 }
@@ -326,22 +307,6 @@ System::registerSystemMetrics()
         metrics_.addCounter("sched.skipped_cycles", &skippedCycles_);
         metrics_.addGauge("sched.active_nodes", [this]() {
             return static_cast<double>(network_->activeNodeCount());
-        });
-    }
-
-    // Parallel-tick introspection. Registered only when the shard
-    // engine is engaged (tickThreads > 1 under the columnar active-
-    // scheduled tick), so serial and oracle-mode artifacts stay
-    // byte-identical — the same convention as sched.*.
-    if (tickParallelEngaged_) {
-        metrics_.addCounter("tick.parallel_ticks", [this]() {
-            return network_->tickParallelStats().parallelTicks;
-        });
-        metrics_.addCounter("tick.shard_evals", [this]() {
-            return network_->tickParallelStats().shardEvals;
-        });
-        metrics_.addGauge("tick.threads", [this]() {
-            return static_cast<double>(cfg_.sim.tickThreads);
         });
     }
 

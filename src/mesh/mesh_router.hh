@@ -28,7 +28,6 @@
 #include "proto/packet.hh"
 #include "sim/active_set.hh"
 #include "sim/columns.hh"
-#include "sim/parallel.hh"
 #include "stats/utilization.hh"
 
 namespace hrsim
@@ -304,29 +303,6 @@ class MeshRouter
         acct_ = acct;
     }
 
-    /**
-     * Shard-parallel tick support: aim every wired output port's
-     * cached utilization counter at @a shard's plane of @a util
-     * (refreshViews() restores the master counters).
-     */
-    void
-    repointUtilCounters(UtilizationTracker *util, int shard)
-    {
-        for (auto &port : out_) {
-            if (port.util != nullptr) {
-                port.utilCounter =
-                    util->shardTransferCounter(shard, port.link);
-            }
-        }
-    }
-
-    /**
-     * Shard-parallel tick support: redirect the fault ledger (a pure
-     * counter redirection; the end-of-tick fold restores the master
-     * totals).
-     */
-    void repointAcct(FaultAccounting *acct) { acct_ = acct; }
-
     NodeId id() const { return id_; }
 
     /** Directional input buffer (for tests). */
@@ -393,18 +369,6 @@ class MeshRouter
     void
     wakeNeighbor(MeshRouter *neighbor)
     {
-        // Shard-parallel evaluate (DESIGN.md section 15): the
-        // neighbor may belong to another shard, so neither its poked
-        // byte nor the shared mask may be touched here — both halves
-        // of the wake are deferred into the shard sink and replayed
-        // (poke + add) at the barrier, before the sleep sweep reads
-        // either. Wakes are idempotent, so duplicates merge freely.
-        if (ShardSink *sink = tlsShardSink) {
-            sink->wakes.push_back(DeferredWake{
-                wakeMask_,
-                static_cast<std::uint32_t>(neighbor->id_)});
-            return;
-        }
         // Test-before-set: at saturation almost every neighbor is
         // already poked, and skipping the redundant store keeps its
         // flag line clean in this core's cache.

@@ -28,7 +28,7 @@ namespace hrsim
 struct RunManifest
 {
     /** Schema identifier of the containing artifact. */
-    std::string schema = "hrsim-metrics-v1";
+    std::string schema = "hrsim-metrics-v2";
 
     std::string gitDescribe; //!< git describe --always --dirty
     std::string buildType;   //!< CMAKE_BUILD_TYPE
@@ -41,14 +41,6 @@ struct RunManifest
 
     std::uint64_t seed = 0;
     unsigned jobs = 1; //!< sweep workers (1 for single-point runs)
-    /**
-     * Intra-run parallel-tick threads (SimConfig::tickThreads).
-     * Provenance, not identity, exactly like jobs: any width
-     * produces bit-identical metric sections, so the value lives
-     * outside configKey() next to the other speed knobs.
-     */
-    int tickThreads = 1;
-
     /**
      * Worm-streaming fast path on for this run? Provenance, not
      * identity: both modes produce bit-identical results (the

@@ -10,10 +10,10 @@
  * (`tools/metrics_check` against `scripts/metrics_schema.json`)
  * covers them all.
  *
- * JSON ("hrsim-metrics-v1"):
+ * JSON ("hrsim-metrics-v2"):
  *
  *     {
- *       "schema": "hrsim-metrics-v1",
+ *       "schema": "hrsim-metrics-v2",
  *       "manifest": { "git": ..., "config": ..., "seed": ... },
  *       "points": [
  *         { "label": "ring 3:3:12",

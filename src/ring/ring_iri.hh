@@ -117,10 +117,8 @@ class RingIri
         save_wait(upperWait_);
         w.u64(lowerEscaped_);
         w.u64(upperEscaped_);
-        w.u64(waitCyclesLower_);
-        w.u64(waitCyclesUpper_);
-        w.u64(escapesLower_);
-        w.u64(escapesUpper_);
+        w.u64(waitCycles_);
+        w.u64(escapes_);
         lower_.saveState(w);
         upper_.saveState(w);
         saveFlitFifo(w, upResp_);
@@ -147,10 +145,8 @@ class RingIri
         load_wait(upperWait_);
         lowerEscaped_ = r.u64();
         upperEscaped_ = r.u64();
-        waitCyclesLower_ = r.u64();
-        waitCyclesUpper_ = r.u64();
-        escapesLower_ = r.u64();
-        escapesUpper_ = r.u64();
+        waitCycles_ = r.u64();
+        escapes_ = r.u64();
         lower_.loadState(r);
         upper_.loadState(r);
         loadFlitFifo(r, upResp_);
@@ -241,18 +237,10 @@ class RingIri
     void debugDump(std::ostream &out) const;
 
     /** Cumulative cycles worms spent blocked on full queues. */
-    std::uint64_t
-    waitCycles() const
-    {
-        return waitCyclesLower_ + waitCyclesUpper_;
-    }
+    std::uint64_t waitCycles() const { return waitCycles_; }
 
     /** Recirculation-escape laps taken. */
-    std::uint64_t
-    escapes() const
-    {
-        return escapesLower_ + escapesUpper_;
-    }
+    std::uint64_t escapes() const { return escapes_; }
 
     /** Route chosen for the worm currently arriving on a side. */
     enum class WormRoute : std::uint8_t
@@ -308,15 +296,8 @@ class RingIri
     PacketId lowerEscaped_ = 0;
     PacketId upperEscaped_ = 0;
 
-    // Wait/escape counters are split per side: the two sides of an
-    // IRI sit on different rings, i.e. in different tick shards, and
-    // the per-cycle acceptance passes of both may advance their
-    // side's counter concurrently (DESIGN.md section 15). The
-    // accessors report the sum, identical to the old single counter.
-    std::uint64_t waitCyclesLower_ = 0;
-    std::uint64_t waitCyclesUpper_ = 0;
-    std::uint64_t escapesLower_ = 0;
-    std::uint64_t escapesUpper_ = 0;
+    std::uint64_t waitCycles_ = 0;
+    std::uint64_t escapes_ = 0;
 
     RingSide lower_;
     RingSide upper_;

@@ -1,9 +1,7 @@
 #include "ring/ring_network.hh"
-#include <algorithm>
 #include <ostream>
 
 #include "common/log.hh"
-#include "core/tick_pool.hh"
 #include "obs/metric_registry.hh"
 #include "proto/packet.hh"
 
@@ -213,12 +211,7 @@ RingNetwork::tick(Cycle now)
     if (!activeSched_) {
         tickFullScan(now);
     } else if (columnar_) {
-        // A live tracer wants the serial hop-event order, so the
-        // parallel engine stands down while one is attached.
-        if (pool_ != nullptr && tracer_ == nullptr)
-            tickColumnarParallel(now);
-        else
-            tickColumnar(now);
+        tickColumnar(now);
     } else {
         tickActive(now);
     }
@@ -644,8 +637,6 @@ RingNetwork::saveState(CkptWriter &w) const
     w.boolean(!sideFaults_.empty());
     for (const RingSideFaults &faults : sideFaults_)
         saveRingSideFaults(w, faults);
-    w.u64(parStats_.parallelTicks);
-    w.u64(parStats_.shardEvals);
 }
 
 void
@@ -670,8 +661,6 @@ RingNetwork::loadState(CkptReader &r)
     }
     for (RingSideFaults &faults : sideFaults_)
         loadRingSideFaults(r, faults);
-    parStats_.parallelTicks = r.u64();
-    parStats_.shardEvals = r.u64();
     // Membership is derived: wake everything holding flits (or
     // fault-pinned), rest everything else — the same invariant the
     // scheduling switch establishes, and a no-op in full-scan mode.
@@ -765,356 +754,8 @@ RingNetwork::setFaultAccounting(FaultAccounting *acct)
                                acct ? &sideFaults_[base + 1] : nullptr,
                                acct);
     }
-    // setFaultState re-aimed every component at the master ledger;
-    // restore the shard ledgers if the parallel engine is live, so
-    // setFaultAccounting and setTickParallel compose in either order.
-    applyParallelAcct();
 }
 
-void
-RingNetwork::setTickParallel(TickPool *pool)
-{
-    // The engine only replaces the columnar active-scheduled tick
-    // (the production path); the oracle modes stay serial, as does a
-    // one-participant pool. The system calls this after setColumnar /
-    // setActiveScheduling, so both flags are settled here.
-    pool_ = (pool != nullptr && pool->threads() > 1 && columnar_ &&
-             activeSched_)
-                ? pool
-                : nullptr;
-    shards_.clear();
-    sinks_.clear();
-    nicCommitRanges_.clear();
-    iriCommitRanges_.clear();
-    util_.setShardPlanes(0);
-    if (pool_ == nullptr) {
-        // Drop any earlier shard repointing (the planes are gone).
-        for (const RingDesc &ring : structure_.rings) {
-            for (const RingSlotDesc &slot : ring.slots) {
-                RingOutput &out = sideAt(slot).out;
-                out.repointUtilCounter(
-                    util_.transferCounter(out.link()));
-            }
-        }
-        return;
-    }
-
-    // One evaluate shard per ring. A double-clocked root ring
-    // carries only fast upper sides — no slow-domain work — and gets
-    // no shard: the fast domain runs serially on the main thread and
-    // its outputs keep the master util counters and ledger.
-    for (std::size_t r = 0; r < structure_.rings.size(); ++r) {
-        const RingDesc &ring = structure_.rings[r];
-        RingShard sh;
-        sh.ring = static_cast<std::uint32_t>(r);
-        std::uint32_t nic_count = 0;
-        bool has_nics = false;
-        for (const RingSlotDesc &slot : ring.slots) {
-            const auto id = static_cast<std::uint32_t>(slot.index);
-            switch (slot.kind) {
-              case RingSlotDesc::Kind::Nic:
-                if (!has_nics) {
-                    sh.nicLo = id;
-                    sh.nicHi = id + 1;
-                    has_nics = true;
-                } else {
-                    sh.nicLo = std::min(sh.nicLo, id);
-                    sh.nicHi = std::max(sh.nicHi, id + 1);
-                }
-                ++nic_count;
-                break;
-              case RingSlotDesc::Kind::IriLower:
-                sh.lowerIris.push_back(id);
-                break;
-              case RingSlotDesc::Kind::IriUpper:
-                if (!iriFastUpper_[id])
-                    sh.upperIris.push_back(id);
-                break;
-            }
-        }
-        // Leaf rings hold one contiguous PM range (the delivery-order
-        // argument leans on this).
-        HRSIM_ASSERT(sh.nicHi - sh.nicLo == nic_count);
-        std::sort(sh.lowerIris.begin(), sh.lowerIris.end());
-        std::sort(sh.upperIris.begin(), sh.upperIris.end());
-        if (!has_nics && sh.lowerIris.empty() && sh.upperIris.empty())
-            continue;
-        shards_.push_back(std::move(sh));
-    }
-
-    // Drain order: ascending subtree start. Only leaf shards produce
-    // deliveries and leaf subtrees are disjoint, so draining sinks in
-    // shard order reproduces the serial ascending-NIC-id delivery
-    // sequence exactly.
-    std::sort(shards_.begin(), shards_.end(),
-              [this](const RingShard &a, const RingShard &b) {
-                  return structure_.rings[a.ring].subtreeLo <
-                         structure_.rings[b.ring].subtreeLo;
-              });
-    sinks_.resize(shards_.size());
-
-    // Per-shard utilization planes: every output evaluated inside
-    // shard s counts into s's plane; reads sum master + planes
-    // (integer order-free, so figures stay bit-identical).
-    util_.setShardPlanes(static_cast<int>(shards_.size()));
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-        const RingDesc &ring = structure_.rings[shards_[s].ring];
-        for (const RingSlotDesc &slot : ring.slots) {
-            RingOutput &out = sideAt(slot).out;
-            out.repointUtilCounter(util_.shardTransferCounter(
-                static_cast<int>(s), out.link()));
-        }
-    }
-
-    // Commit/sweep phases touch one component each, so any partition
-    // is bit-identical: balanced mask word ranges, at most one per
-    // pool participant.
-    const auto parts = static_cast<std::size_t>(pool_->threads());
-    const auto split = [parts](std::size_t words,
-                               std::vector<WordRange> &out) {
-        const std::size_t n = std::min(parts, words);
-        for (std::size_t i = 0; i < n; ++i) {
-            WordRange r;
-            r.lo = static_cast<std::uint32_t>(words * i / n);
-            r.hi = static_cast<std::uint32_t>(words * (i + 1) / n);
-            out.push_back(r);
-        }
-    };
-    split(nicMask_.wordCount(), nicCommitRanges_);
-    split(iriMask_.wordCount(), iriCommitRanges_);
-
-    applyParallelAcct();
-}
-
-void
-RingNetwork::applyParallelAcct()
-{
-    if (acct_ == nullptr || pool_ == nullptr)
-        return;
-    // Each component's ledger pointer goes to its shard's ledger,
-    // per *side* for IRIs — the two sides of an IRI tick in the
-    // shards of the two rings they sit on. Fast upper sides (no
-    // shard) keep the master ledger; they run serially.
-    for (RingShard &sh : shards_) {
-        const RingDesc &ring = structure_.rings[sh.ring];
-        for (const RingSlotDesc &slot : ring.slots) {
-            const auto i = static_cast<std::size_t>(slot.index);
-            switch (slot.kind) {
-              case RingSlotDesc::Kind::Nic:
-                nics_[i].repointAcct(&sh.acct);
-                break;
-              case RingSlotDesc::Kind::IriLower:
-                iris_[i].lower().out.repointAcct(&sh.acct);
-                break;
-              case RingSlotDesc::Kind::IriUpper:
-                iris_[i].upper().out.repointAcct(&sh.acct);
-                break;
-            }
-        }
-    }
-}
-
-void
-RingNetwork::evaluateShard(Cycle now, int shard)
-{
-    // Route every cross-shard effect (wakes, deliveries) into this
-    // shard's sink; see sim/parallel.hh. The mask is frozen for the
-    // whole dispatch, so contains()/forEachInRange() read the
-    // start-of-tick membership — where the serial live scan would
-    // visit a mid-tick-woken component instead, that visit is a
-    // provable no-op (woken <=> was empty; staged flits invisible
-    // until commit), so both engines compute the same bytes.
-    RingShard &sh = shards_[static_cast<std::size_t>(shard)];
-    tlsShardSink = &sinks_[static_cast<std::size_t>(shard)];
-
-    // Phase A: acceptance flags from start-of-cycle state. An accept
-    // flag is only read by the upstream output on the same ring, so
-    // no barrier is needed between this shard's phase A and another
-    // shard's phase B — the phases fuse per shard.
-    for (const std::uint32_t id : sh.lowerIris) {
-        if (iriMask_.contains(id))
-            iris_[id].computeAcceptanceLower();
-    }
-    for (const std::uint32_t id : sh.upperIris) {
-        if (iriMask_.contains(id))
-            iris_[id].computeAcceptanceUpper();
-    }
-
-    // Phase B: this ring's slice of the system-clock domain, in the
-    // serial engine's per-category ascending-id order (NICs, lower
-    // sides, slow upper sides). All non-deferred interactions —
-    // occupancy gates, latch staging, acceptance flags — stay inside
-    // this ring; inter-ring queues are SPSC under the frozen-counter
-    // FIFO contract (common/staged_fifo.hh).
-    nicMask_.forEachInRange(sh.nicLo, sh.nicHi, [this, now](
-                                                    std::uint32_t id) {
-        nics_[id].evaluate(now);
-    });
-    for (const std::uint32_t id : sh.lowerIris) {
-        if (iriMask_.contains(id))
-            iris_[id].evaluateLower();
-    }
-    for (const std::uint32_t id : sh.upperIris) {
-        if (iriMask_.contains(id))
-            iris_[id].evaluateUpper();
-    }
-
-    tlsShardSink = nullptr;
-}
-
-void
-RingNetwork::commitShard(int shard)
-{
-    // Partition index space: NIC word ranges first, then IRI ranges.
-    const auto nic_parts = nicCommitRanges_.size();
-    if (static_cast<std::size_t>(shard) < nic_parts) {
-        const WordRange &r =
-            nicCommitRanges_[static_cast<std::size_t>(shard)];
-        // Fused commit + sleep sweep, exactly as in tickColumnar();
-        // summary/count rebuild happens once after the barrier.
-        nicMask_.retainWordRange(r.lo, r.hi, [this](std::uint32_t id) {
-            RingNic &nic = nics_[id];
-            nic.commit();
-            if (!nic.empty() || nic.faultPinned()) {
-                // Next tick's phase A, while the NIC is cache-hot.
-                nic.computeAcceptance();
-                return true;
-            }
-            nic.prepareSleep();
-            return false;
-        });
-        return;
-    }
-    const WordRange &r =
-        iriCommitRanges_[static_cast<std::size_t>(shard) - nic_parts];
-    if (fastIris_.empty()) {
-        // No fast domain runs later, so the IRI sleep sweep fuses
-        // into the commit the same way the NIC sweep does.
-        iriMask_.retainWordRange(r.lo, r.hi, [this](std::uint32_t id) {
-            RingIri &iri = iris_[id];
-            iri.commitLower();
-            iri.commitUpper();
-            if (!iri.empty() || iri.faultPinned())
-                return true;
-            iri.prepareSleep();
-            return false;
-        });
-    } else {
-        // Fast upper sides still tick after this commit, so only
-        // commit here (both sides of an IRI fused — commitUpper
-        // commits the shared inter-ring queues, so the two sides
-        // must not commit in different partitions).
-        const std::uint32_t id_lo = r.lo * 64;
-        const std::uint32_t id_hi =
-            std::min<std::uint32_t>(r.hi * 64,
-                                    static_cast<std::uint32_t>(
-                                        iris_.size()));
-        iriMask_.forEachInRange(id_lo, id_hi, [this](std::uint32_t id) {
-            iris_[id].commitLower();
-            if (!iriFastUpper_[id])
-                iris_[id].commitUpper();
-        });
-    }
-}
-
-void
-RingNetwork::tickColumnarParallel(Cycle now)
-{
-    // Evaluate dispatch: one shard per ring, phases A + B fused.
-    auto eval = [this, now](int shard) { evaluateShard(now, shard); };
-    pool_->run(static_cast<int>(shards_.size()), eval);
-    parStats_.parallelTicks += 1;
-    parStats_.shardEvals += shards_.size();
-
-    // Merge deferred wakes before any commit: a component woken
-    // mid-tick holds a staged flit that must commit this cycle.
-    // add() is idempotent, so cross-shard duplicates are harmless.
-    for (const ShardSink &sink : sinks_) {
-        for (const DeferredWake &w : sink.wakes)
-            w.mask->add(w.id);
-    }
-    // Drain deliveries in shard order = ascending NIC id = the
-    // serial delivery order (each NIC delivers at most one packet
-    // per cycle). tlsShardSink is null here, so delivered() runs the
-    // real handler.
-    for (ShardSink &sink : sinks_) {
-        for (const DeferredDelivery &d : sink.deliveries)
-            delivered(d.pkt, d.when);
-        sink.clear();
-    }
-
-    // Commit dispatch over mask word ranges (NIC partitions first).
-    const int commit_parts = static_cast<int>(nicCommitRanges_.size() +
-                                              iriCommitRanges_.size());
-    auto commit = [this](int part) { commitShard(part); };
-    pool_->run(commit_parts, commit);
-    nicMask_.rebuildAggregates();
-
-    if (fastIris_.empty()) {
-        // The IRI sweep was fused into the commit partitions.
-        iriMask_.rebuildAggregates();
-        foldShardAcct();
-        return;
-    }
-
-    // Fast domain: serial on this thread (all fast upper sides share
-    // the root ring, so there is nothing to shard), identical to the
-    // tickColumnar() loop. tlsShardSink is null: wakes go straight
-    // into the masks. iriMask_'s aggregates are still intact — the
-    // fast-path commit partitions above cleared no bits.
-    for (std::uint32_t sub = 0; sub < params_.globalRingSpeed; ++sub) {
-        iriMask_.forEach([this](std::uint32_t id) {
-            if (iriFastUpper_[id])
-                iris_[id].computeAcceptanceUpper();
-        });
-        iriMask_.forEach([this](std::uint32_t id) {
-            if (iriFastUpper_[id])
-                iris_[id].evaluateUpper();
-        });
-        iriMask_.forEach([this](std::uint32_t id) {
-            if (iriFastUpper_[id])
-                iris_[id].commitUpper();
-        });
-    }
-
-    // IRI sleep sweep, partitioned like the commit.
-    auto sweep = [this](int part) {
-        const WordRange &r =
-            iriCommitRanges_[static_cast<std::size_t>(part)];
-        iriMask_.retainWordRange(r.lo, r.hi, [this](std::uint32_t id) {
-            if (!iris_[id].empty() || iris_[id].faultPinned())
-                return true;
-            iris_[id].prepareSleep();
-            return false;
-        });
-    };
-    pool_->run(static_cast<int>(iriCommitRanges_.size()), sweep);
-    iriMask_.rebuildAggregates();
-    foldShardAcct();
-}
-
-void
-RingNetwork::foldShardAcct()
-{
-    if (acct_ == nullptr)
-        return;
-    // Fold the shard fault ledgers into the master so every reader
-    // outside the network tick (the fault engine's conservation
-    // check, metrics) sees serial-identical totals.
-    for (RingShard &sh : shards_) {
-        acct_->injectedFlits += sh.acct.injectedFlits;
-        acct_->deliveredFlits += sh.acct.deliveredFlits;
-        acct_->droppedFlits += sh.acct.droppedFlits;
-        acct_->droppedWorms += sh.acct.droppedWorms;
-        acct_->poisonedWorms += sh.acct.poisonedWorms;
-        sh.acct = FaultAccounting{};
-    }
-}
-
-} // namespace hrsim
-
-namespace hrsim
-{
 
 void
 RingNetwork::debugDump(std::ostream &out) const

@@ -146,19 +146,6 @@ class RingNic
     }
 
     /**
-     * Shard-parallel tick support: redirect the sink path's and the
-     * output's side of the fault ledger (a pure counter redirection;
-     * the fold at the end of each parallel tick restores the master
-     * totals).
-     */
-    void
-    repointAcct(FaultAccounting *acct)
-    {
-        acct_ = acct;
-        side_.out.repointAcct(acct);
-    }
-
-    /**
      * Must this NIC stay in the active set even while empty? A
      * stalled component pins itself awake so its acceptance flag is
      * recomputed (a sleeping NIC rests at accept = true, the

@@ -32,7 +32,6 @@
 #include "proto/packet.hh"
 #include "sim/active_set.hh"
 #include "sim/columns.hh"
-#include "sim/parallel.hh"
 #include "stats/utilization.hh"
 
 namespace hrsim
@@ -293,8 +292,6 @@ class RingOutput
     {
         downstream_ = latch;
         acceptFlag_ = accept_flag;
-        util_ = util;
-        link_ = link;
         // Cache the flag/counter pair so the per-flit hot path is one
         // load + one indexed increment (all utilization groups exist
         // before wiring, so the counter pointer is stable).
@@ -325,21 +322,6 @@ class RingOutput
 
     /** Route wakes into the columnar bitmap (wins over wakeSet_). */
     void setWakeMask(ActiveMask *mask) { wakeMask_ = mask; }
-
-    /**
-     * Shard-parallel tick support: re-target the cached utilization
-     * counter (at a per-shard plane, or back at the master counter)
-     * and this output's side of the fault ledger. Both are pure
-     * counter redirections — the totals the read side reports are
-     * identical (see UtilizationTracker::setShardPlanes and the
-     * ledger fold in RingNetwork::tickColumnarParallel).
-     */
-    void repointUtilCounter(std::uint64_t *counter)
-    {
-        utilCounter_ = counter;
-    }
-    UtilizationTracker::LinkId link() const { return link_; }
-    void repointAcct(FaultAccounting *acct) { acct_ = acct; }
 
     /**
      * Attach this output's fault state and the network's shared
@@ -761,23 +743,14 @@ class RingOutput
         }
     }
 
-    /** Wake the downstream component in its network's scheduler.
-     *  Inside a parallel evaluate phase the wake is deferred — the
-     *  mask's summary word and count are shared across shards — and
-     *  merged at the barrier (sim/parallel.hh). */
+    /** Wake the downstream component in its network's scheduler. */
     void
     wake() const
     {
-        if (wakeMask_) {
-            if (ShardSink *sink = tlsShardSink) {
-                sink->wakes.push_back(
-                    DeferredWake{wakeMask_, wakeId_});
-            } else {
-                wakeMask_->add(wakeId_); // columnar bitmap engine
-            }
-        } else if (wakeSet_) {
+        if (wakeMask_)
+            wakeMask_->add(wakeId_); // columnar bitmap engine
+        else if (wakeSet_)
             wakeSet_->add(wakeId_); // legacy ActiveSet engine
-        }
     }
 
     FlitSource *
@@ -798,8 +771,6 @@ class RingOutput
 
     RingLatch *downstream_ = nullptr;
     const bool *acceptFlag_ = nullptr;
-    UtilizationTracker *util_ = nullptr;
-    UtilizationTracker::LinkId link_ = 0;
     const bool *utilMeasuring_ = nullptr;
     std::uint64_t *utilCounter_ = nullptr;
     RingOccupancy *occupancy_ = nullptr;

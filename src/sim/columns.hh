@@ -24,7 +24,6 @@
 #ifndef HRSIM_SIM_COLUMNS_HH
 #define HRSIM_SIM_COLUMNS_HH
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
@@ -109,9 +108,6 @@ class ActiveMask
     bool empty() const { return count_ == 0; }
     std::size_t size() const { return count_; }
 
-    /** Leaf words backing the mask (shard ranges partition these). */
-    std::size_t wordCount() const { return words_.size(); }
-
     /**
      * Visit every member in ascending id order. Members added during
      * the scan are visited iff their leaf word lies beyond the scan
@@ -173,98 +169,6 @@ class ActiveMask
                         ~(std::uint64_t{1} << (w % 64));
                 }
             }
-        }
-    }
-
-    /**
-     * Visit every member with id in [idLo, idHi) in ascending order.
-     * Safe to run concurrently with other read-only range scans over
-     * any id ranges: the scan reads words_ only (no summary hop — the
-     * ranges the parallel tick uses are short), so it requires that
-     * no add()/retain() runs concurrently. The parallel evaluate
-     * phases guarantee exactly that by deferring every wake
-     * (sim/parallel.hh), which freezes the mask for the whole phase.
-     */
-    template <typename Fn>
-    void
-    forEachInRange(std::uint32_t idLo, std::uint32_t idHi,
-                   Fn &&fn) const
-    {
-        if (idLo >= idHi)
-            return;
-        const std::size_t wLo = idLo / 64;
-        const std::size_t wHi = (idHi - 1) / 64;
-        HRSIM_ASSERT(wHi < words_.size());
-        for (std::size_t w = wLo; w <= wHi; ++w) {
-            std::uint64_t word = words_[w];
-            if (w == wLo && idLo % 64 != 0)
-                word &= ~std::uint64_t{0} << (idLo % 64);
-            if (w == wHi && idHi % 64 != 0) {
-                word &= ~std::uint64_t{0} >>
-                        (64 - idHi % 64);
-            }
-            while (word != 0) {
-                const auto id = static_cast<std::uint32_t>(
-                    w * 64 +
-                    static_cast<std::size_t>(std::countr_zero(word)));
-                word &= word - 1;
-                fn(id);
-            }
-        }
-    }
-
-    /**
-     * retain() restricted to the leaf words [wordLo, wordHi), for the
-     * shard-parallel sleep sweeps: clears leaf bits only and touches
-     * neither summary_ nor count_ (both are shared across ranges), so
-     * disjoint word ranges may run concurrently. The caller must run
-     * rebuildAggregates() once after every range completed; until
-     * then forEach()/size()/empty() are unreliable. @a pred must not
-     * add().
-     */
-    template <typename Pred>
-    void
-    retainWordRange(std::size_t wordLo, std::size_t wordHi,
-                    Pred &&pred)
-    {
-        HRSIM_ASSERT(wordHi <= words_.size());
-        for (std::size_t w = wordLo; w < wordHi; ++w) {
-            std::uint64_t word = words_[w];
-            while (word != 0) {
-                const std::uint64_t bit = word & (~word + 1);
-                const auto id = static_cast<std::uint32_t>(
-                    w * 64 +
-                    static_cast<std::size_t>(std::countr_zero(word)));
-                word &= word - 1;
-                if (!pred(id))
-                    words_[w] &= ~bit;
-            }
-        }
-    }
-
-    /**
-     * Recompute summary_ and count_ from words_ after a round of
-     * retainWordRange() calls. O(words); the masks this engine uses
-     * span at most a few thousand ids, so the rebuild is a handful of
-     * popcounts per tick.
-     */
-    void
-    rebuildAggregates()
-    {
-        count_ = 0;
-        for (std::size_t s = 0; s < summary_.size(); ++s) {
-            std::uint64_t sum = 0;
-            const std::size_t base = s * 64;
-            const std::size_t lim =
-                std::min(words_.size() - base, std::size_t{64});
-            for (std::size_t i = 0; i < lim; ++i) {
-                if (words_[base + i] != 0) {
-                    sum |= std::uint64_t{1} << i;
-                    count_ += static_cast<std::size_t>(
-                        std::popcount(words_[base + i]));
-                }
-            }
-            summary_[s] = sum;
         }
     }
 

@@ -1,7 +1,5 @@
 #include "stats/utilization.hh"
 
-#include <algorithm>
-
 #include "common/log.hh"
 #include "ckpt/codec.hh"
 
@@ -33,33 +31,12 @@ UtilizationTracker::addLink(GroupId group, std::uint32_t speed_factor)
 }
 
 void
-UtilizationTracker::setShardPlanes(int shards)
-{
-    planes_.assign(static_cast<std::size_t>(std::max(shards, 0)),
-                   std::vector<std::uint64_t>(groupTransfers_.size(),
-                                              0));
-}
-
-std::uint64_t
-UtilizationTracker::groupTransfersTotal(GroupId group) const
-{
-    std::uint64_t total = groupTransfers_[group];
-    for (const auto &plane : planes_)
-        total += plane[group];
-    return total;
-}
-
-void
 UtilizationTracker::startMeasurement(Cycle now)
 {
     measuring_ = true;
     windowStart_ = now;
     for (auto &transfers : groupTransfers_)
         transfers = 0;
-    for (auto &plane : planes_) {
-        for (auto &transfers : plane)
-            transfers = 0;
-    }
 }
 
 void
@@ -88,7 +65,7 @@ UtilizationTracker::groupUtilization(GroupId group) const
         return 0.0;
     const double cap = static_cast<double>(groupCapacity_[group]) *
                        static_cast<double>(windowCycles_);
-    return static_cast<double>(groupTransfersTotal(group)) / cap;
+    return static_cast<double>(groupTransfers_[group]) / cap;
 }
 
 double
@@ -100,7 +77,7 @@ UtilizationTracker::totalUtilization() const
     std::uint64_t transfers = 0;
     for (std::size_t g = 0; g < groupCapacity_.size(); ++g) {
         cap += groupCapacity_[g];
-        transfers += groupTransfersTotal(static_cast<GroupId>(g));
+        transfers += groupTransfers_[g];
     }
     if (cap == 0)
         return 0.0;
@@ -114,11 +91,9 @@ UtilizationTracker::saveState(CkptWriter &w) const
     w.boolean(measuring_);
     w.u64(windowStart_);
     w.u64(windowCycles_);
-    // Fold the shard planes into the saved master counters: plane
-    // splits are an engine artifact of this run, not simulator state.
     w.u32(static_cast<std::uint32_t>(groupTransfers_.size()));
-    for (GroupId g = 0; g < groupTransfers_.size(); ++g)
-        w.u64(groupTransfersTotal(g));
+    for (const std::uint64_t transfers : groupTransfers_)
+        w.u64(transfers);
 }
 
 void
@@ -132,14 +107,10 @@ UtilizationTracker::loadState(CkptReader &r)
         throw CheckpointError(
             "checkpoint: utilization group count mismatch");
     }
-    // Counters load into the master plane; shard planes restart at
-    // zero (read-side aggregates sum master + planes, so the total is
-    // exactly the saved value). The vectors are assigned in place —
-    // link drivers hold stable pointers into them.
-    for (GroupId g = 0; g < groupTransfers_.size(); ++g)
-        groupTransfers_[g] = r.u64();
-    for (auto &plane : planes_)
-        std::fill(plane.begin(), plane.end(), 0);
+    // Assigned in place: link drivers hold stable pointers into the
+    // counter vector.
+    for (std::uint64_t &transfers : groupTransfers_)
+        transfers = r.u64();
 }
 
 } // namespace hrsim

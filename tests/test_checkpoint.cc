@@ -6,7 +6,7 @@
  * and restoring a snapshot into a fresh System then running to cycle
  * Y produces results byte-identical to an uninterrupted run reaching
  * Y — across ring and mesh topologies, buffer depths, double-speed
- * global rings, fault plans, parallel ticks, and every oracle plane
+ * global rings, fault plans, and every oracle plane
  * (full scan / no-columnar / no-fastpath). Plus the refusal paths:
  * config-key, build-plane, fault-plane and topology mismatches must
  * throw CheckpointError naming the disagreement, never restore
@@ -76,8 +76,8 @@ spec(const std::string &text)
 
 /**
  * The acceptance grid: rings including single-level and a
- * double-speed root, meshes at 1 / 4 / cl-sized buffers, a faulted
- * config, and a parallel-tick config.
+ * double-speed root, meshes at 1 / 4 / cl-sized buffers, and faulted
+ * configs.
  */
 std::vector<std::pair<std::string, SystemConfig>>
 checkpointGrid()
@@ -139,18 +139,6 @@ checkpointGrid()
     cfg.faultPlan.retry.timeoutCycles = 400;
     cfg.faultPlan.retry.maxRetries = 3;
     add("mesh 4 faulted", cfg);
-
-    cfg = SystemConfig::ring("4:4", 64);
-    cfg.sim = shortSim();
-    cfg.sim.tickThreads = 4;
-    cfg.workload.outstandingT = 4;
-    add("ring 4:4 tick-threads-4", cfg);
-
-    cfg = SystemConfig::mesh(4, 64, 4);
-    cfg.sim = shortSim();
-    cfg.sim.tickThreads = 4;
-    cfg.workload.missRateC = 0.02;
-    add("mesh 4 tick-threads-4", cfg);
 
     return grid;
 }
@@ -549,6 +537,51 @@ TEST(CheckpointMismatch, CorruptFileRefused)
     restore_cfg.ckpt.restorePath = file.path();
     System restored(restore_cfg);
     EXPECT_THROW(restored.run(), CheckpointError);
+}
+
+TEST(CheckpointMismatch, SchemaVersionRefused)
+{
+    SystemConfig cfg = SystemConfig::ring("2:4", 64);
+    cfg.sim = shortSim();
+    cfg.workload.outstandingT = 4;
+
+    TempCkpt file("schema_version");
+    SystemConfig donor_cfg = cfg;
+    donor_cfg.ckpt.savePath = file.path();
+    donor_cfg.ckpt.saveAt = 1000;
+    donor_cfg.ckpt.stopAfterSave = true;
+    System donor(donor_cfg);
+    donor.run();
+
+    // Re-stamp the same valid payload with the previous layout's
+    // version: only the version gate stands between it and a restore.
+    const std::uint32_t stale = ckptSchemaVersion - 1;
+    {
+        std::vector<std::uint8_t> payload;
+        CheckpointHeader header = openCheckpointFile(file.path(), payload);
+        header.version = stale;
+        CkptWriter writer;
+        for (const std::uint8_t byte : payload)
+            writer.u8(byte);
+        writeCheckpointFile(file.path(), header, writer);
+    }
+
+    SystemConfig restore_cfg = cfg;
+    restore_cfg.ckpt.restorePath = file.path();
+    System restored(restore_cfg);
+    try {
+        restored.run();
+        FAIL() << "a checkpoint from another schema version must throw";
+    } catch (const CheckpointError &err) {
+        const std::string what = err.what();
+        EXPECT_NE(what.find("schema version " + std::to_string(stale)),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("version " +
+                            std::to_string(ckptSchemaVersion)),
+                  std::string::npos)
+            << what;
+    }
 }
 
 // ---------------------------------------------------------------- //
