@@ -9,7 +9,7 @@
  *
  * Setting HRSIM_METRICS_OUT=FILE additionally serializes every point
  * the binary simulates — full metric registry plus run manifest — to
- * FILE in the standard hrsim-metrics-v2 JSON schema, labelled
+ * FILE in the standard hrsim-metrics-v3 JSON schema, labelled
  * "<series> P=<processors>" so each plotted sample can be traced back
  * to its underlying counters (see EXPERIMENTS.md).
  */
@@ -17,7 +17,9 @@
 #ifndef HRSIM_BENCH_BENCH_COMMON_HH
 #define HRSIM_BENCH_BENCH_COMMON_HH
 
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -47,13 +49,15 @@ benchJobs()
 {
     if (const char *env = std::getenv("HRSIM_JOBS")) {
         char *end = nullptr;
+        errno = 0;
         const long jobs = std::strtol(env, &end, 10);
-        if (end == env || *end != '\0' || jobs < 1) {
+        if (end == env || *end != '\0' || errno == ERANGE ||
+            jobs < 1 || static_cast<unsigned long>(jobs) > UINT_MAX) {
             std::fprintf(stderr,
                          "warning: ignoring invalid HRSIM_JOBS=\"%s\" "
-                         "(want an integer >= 1); using hardware "
-                         "concurrency\n",
-                         env);
+                         "(want an integer in [1, %u]); using "
+                         "hardware concurrency\n",
+                         env, UINT_MAX);
         } else {
             return static_cast<unsigned>(jobs);
         }
@@ -110,7 +114,7 @@ meshConfig(int width, std::uint32_t line_bytes,
 
 /**
  * Process-wide HRSIM_METRICS_OUT collector: accumulates the metric
- * point of every simulated config and writes one hrsim-metrics-v2
+ * point of every simulated config and writes one hrsim-metrics-v3
  * JSON artifact when the binary exits. Disabled (and free) unless the
  * environment variable is set.
  */

@@ -4,10 +4,11 @@
  * (simulated node-cycles per wall-second) for representative ring and
  * mesh configurations.
  *
- * Each topology is measured twice: the Legacy variants force the
- * every-cycle tick loop (sim.idleSkip = false), the Fast variants use
- * the skip-idle scheduler, so the speedup of the hot-path work is
- * measured, not asserted. BM_Sweep* measure the parallel sweep engine
+ * Each topology is measured twice: the BM_*Legacy variants run the
+ * reference engine (sim.idleSkip = false: every component, every
+ * cycle, with the straight-line per-node network code), the plain
+ * variants the production engine, so the speedup of the hot-path
+ * work is measured, not asserted. BM_Sweep* measure the parallel sweep engine
  * end to end (wall-clock per whole figure-style sweep).
  */
 
@@ -182,8 +183,8 @@ BENCHMARK(BM_SweepParallel4)->UseRealTime();
 /**
  * Custom main: BENCHMARK_MAIN() plus run-context records, so a saved
  * BENCH_simspeed.json says which build produced it. Without these, a
- * Debug-build artifact or one taken under HRSIM_FORCE_FULL_SCAN is
- * indistinguishable from a real Release baseline.
+ * Debug-build artifact is indistinguishable from a real Release
+ * baseline.
  */
 int
 main(int argc, char **argv)
@@ -206,18 +207,6 @@ main(int argc, char **argv)
         jobs_env != nullptr && jobs_env[0] != '\0'
             ? jobs_env
             : std::to_string(std::thread::hardware_concurrency()));
-    const char *force = std::getenv("HRSIM_FORCE_FULL_SCAN");
-    benchmark::AddCustomContext(
-        "hrsim_force_full_scan",
-        force != nullptr && force[0] != '\0' ? force : "0");
-    const char *no_fast = std::getenv("HRSIM_NO_FASTPATH");
-    benchmark::AddCustomContext(
-        "hrsim_no_fastpath",
-        no_fast != nullptr && no_fast[0] != '\0' ? no_fast : "0");
-    const char *no_col = std::getenv("HRSIM_NO_COLUMNAR");
-    benchmark::AddCustomContext(
-        "hrsim_no_columnar",
-        no_col != nullptr && no_col[0] != '\0' ? no_col : "0");
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     return 0;

@@ -7,8 +7,9 @@
 #                metrics_schema_check, docs_check, simspeed_smoke,
 #                adaptive_smoke, fault_smoke, ckpt_smoke).
 #  2. tsan     — -DHRSIM_SANITIZE=thread, the concurrency-sensitive
-#                tests (sweep engine, adaptive run control, active-set
-#                scheduler, fault replay under parallel sweeps): the
+#                tests (sweep engine, adaptive run control, production
+#                vs reference engine under a --jobs 4 sweep, fault
+#                replay under parallel sweeps): the
 #                parallel sweep's work-claiming and result reaping
 #                must be race-free.
 #  3. asan     — -DHRSIM_SANITIZE=address, the same test set plus the
@@ -33,10 +34,11 @@ src=$(cd "$(dirname "$0")/.." && pwd)
 
 # Tests worth re-running under the sanitizers: everything that
 # exercises threads, the adaptive controller, or raw-index storage.
+# ReferenceEngine crosses both engines with a --jobs 4 sweep.
 # LayoutSmoke/StablePool cover the columnar bitmap scans and the
 # placement-new pool — raw masks and lifetimes, ASan/TSan territory.
 # RankHierarchies runs the Table 2 search on the sweep pool.
-SANITIZED_FILTER='Sweep|AdaptiveSystem|RunController|ActiveSet|RingDeque|StagedFifo|BatchMeans|TQuantile|Mser|Fault|LayoutSmoke|StablePool|Checkpoint|RankHierarchies'
+SANITIZED_FILTER='Sweep|AdaptiveSystem|RunController|ReferenceEngine|RingDeque|StagedFifo|BatchMeans|TQuantile|Mser|Fault|LayoutSmoke|StablePool|Checkpoint|RankHierarchies'
 
 run_release() {
     cmake -B "$src/build-ci" -S "$src" -DCMAKE_BUILD_TYPE=Release

@@ -12,10 +12,10 @@
  *    scratch flags are dead. Components therefore serialize visible
  *    state only.
  *  - Authoritative state only. Anything rebuilt by an existing
- *    configuration path — columnar column bindings, cached FIFO
- *    views, utilization counter pointers, route LUTs — is derived
- *    and is reconstructed after load via those same paths
- *    (bindColumns / refreshViews / setActiveScheduling), never
+ *    configuration path — column bindings, cached FIFO views,
+ *    utilization counter pointers, route LUTs, ring scheduler
+ *    membership — is derived: the network constructors build it and
+ *    the load re-derives it through the same paths, never
  *    serialized.
  *  - saveState() is const and must not perturb the run: a run that
  *    saves a checkpoint stays bit-identical to one that does not.

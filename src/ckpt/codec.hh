@@ -20,7 +20,7 @@
  *
  * The file container (writeCheckpointFile / openCheckpointFile) adds
  * a magic, a schema version, the producing run's config key and
- * build-flag plane, the save cycle, and an FNV-1a hash over the
+ * engine, the save cycle, and an FNV-1a hash over the
  * payload, and refuses files whose header does not match the
  * restoring run. Writes go through a temporary file plus rename so a
  * crash mid-save never leaves a truncated checkpoint at the target
@@ -42,7 +42,7 @@ namespace hrsim
 
 /**
  * Recoverable checkpoint failure: unreadable file, bad magic or
- * hash, or a config-key / build-plane mismatch. The CLI catches it
+ * hash, or a config-key / engine mismatch. The CLI catches it
  * and reports the message; callers that must not die (sweep resume
  * probing) catch it and fall back to a fresh run.
  */
@@ -199,22 +199,20 @@ class CkptReader
 /**
  * Everything the container header records about the producing run.
  * The config key is obs/manifest.hh's configKey(cfg) string; the
- * plane flags capture the oracle switches that change which derived
- * structures exist (and therefore which metric namespaces a restored
- * run must reproduce).
+ * engine bit (SimConfig::idleSkip) decides which derived structures
+ * exist (scheduler membership, and the metric namespaces a restored
+ * run must reproduce), so a snapshot restores only on its own engine.
  */
 struct CheckpointHeader
 {
     std::uint32_t version = 0;
     std::string configKey;
-    bool columnar = false;
-    bool fastPath = false;
-    bool activeSched = false;
+    bool productionEngine = false;
     std::uint64_t cycle = 0;
 };
 
 /** Current on-disk schema version. Bump on any layout change. */
-constexpr std::uint32_t ckptSchemaVersion = 2;
+constexpr std::uint32_t ckptSchemaVersion = 3;
 
 /**
  * Atomically write @a header + @a payload to @a path (temporary file
@@ -229,7 +227,7 @@ void writeCheckpointFile(const std::string &path,
  * and payload hash. Returns the header and fills @a payload with the
  * verified payload bytes. Header/config compatibility is the
  * caller's job (System::restoreCheckpoint), because only the caller
- * knows its own config key and plane.
+ * knows its own config key and engine.
  */
 CheckpointHeader
 openCheckpointFile(const std::string &path,

@@ -59,7 +59,6 @@
 
 #include <array>
 #include <cstddef>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -342,8 +341,8 @@ struct FifoState
  * fifo-object -> cursor-block -> field chains. Semantics of every
  * operation match ColumnFifo exactly (same accounting, same
  * assertions) — a view is the same queue seen through fewer hops.
- * Views are invalidated by bindState()/setCapacity() on the
- * underlying queue; all callers re-cache after column binding.
+ * A view is valid once the underlying queue is bound and stays
+ * valid for the queue's lifetime.
  */
 template <typename T>
 struct FifoView
@@ -394,80 +393,45 @@ struct FifoView
 };
 
 /**
- * StagedFifo variant whose cursor block can be hoisted into a
- * network-owned FifoState column. Semantics are identical to
- * StagedFifo (same propose/commit discipline, same accounting, same
- * assertions); the cursors default to a heap-allocated block (the
- * HRSIM_NO_COLUMNAR oracle layout) until bindState() repoints them.
- * Element storage is never inline: columnar users (the mesh router)
- * already place elements in a caller arena, and keeping the payload
- * out of the object is what lets the commit sweep touch columns only.
- * The shell itself is deliberately slim — two hot pointers plus two
- * cold owners, 32 bytes — so six of them don't spread a router's
- * other hot fields across extra cache lines the way an in-object
- * cursor block would (measured: that bloat cost more than the whole
+ * StagedFifo variant whose cursor block lives in a network-owned
+ * FifoState column. Semantics are identical to StagedFifo (same
+ * propose/commit discipline, same accounting, same assertions); the
+ * owner binds the cursor block and the element storage once with
+ * bind(), before any other call. Element storage is never inline:
+ * the mesh router places elements in a caller arena, and keeping the
+ * payload out of the object is what lets the commit sweep touch
+ * columns only. The shell itself is deliberately slim — two hot
+ * pointers, 16 bytes — so six of them don't spread a router's other
+ * hot fields across extra cache lines the way an in-object cursor
+ * block would (measured: that bloat cost more than the whole
  * columnar win on the saturated mesh).
  */
 template <typename T>
 class ColumnFifo
 {
   public:
-    explicit ColumnFifo(std::size_t capacity = 0)
-        : ownSt_(new FifoState), st_(ownSt_.get())
-    {
-        setCapacity(capacity);
-    }
+    ColumnFifo() = default;
 
-    // Non-copyable/non-movable: ext_ may alias heap_'s buffer or a
-    // caller arena, and st_ may point into a network column.
+    // Non-copyable/non-movable: st_ points into a network column and
+    // ext_ into a caller arena.
     ColumnFifo(const ColumnFifo &) = delete;
     ColumnFifo &operator=(const ColumnFifo &) = delete;
     ColumnFifo(ColumnFifo &&) = delete;
     ColumnFifo &operator=(ColumnFifo &&) = delete;
 
     /**
-     * Hoist the cursor block into @a state (a network column slot):
-     * current values move over, then every operation reads and
-     * writes the new storage. Call once at setup, before traffic.
+     * Bind the cursor block to @a state (a network column slot) and
+     * the elements to @a storage (@a capacity slots, caller-owned),
+     * leaving the queue empty. Call once at setup, before traffic.
      */
     void
-    bindState(FifoState *state)
+    bind(FifoState *state, std::size_t capacity, T *storage)
     {
-        *state = *st_;
+        HRSIM_ASSERT(state != nullptr && storage != nullptr);
         st_ = state;
-        ownSt_.reset(); // cursors live in the column from here on
-    }
-
-    /** Change the capacity; only legal on an empty queue. */
-    void
-    setCapacity(std::size_t capacity)
-    {
-        HRSIM_ASSERT(st_->visible == st_->poppedThisCycle &&
-                     st_->staged == 0);
-        st_->capacity = static_cast<std::uint32_t>(capacity);
-        ownBuf_.reset(capacity != 0 ? new T[capacity] : nullptr);
-        ext_ = ownBuf_.get();
-        st_->head = 0;
-        st_->tail = 0;
-        st_->visible = 0;
-        st_->poppedThisCycle = 0;
-    }
-
-    /** Like setCapacity(), but with caller-provided element storage
-     *  (see StagedFifo::setCapacity(capacity, T*)). */
-    void
-    setCapacity(std::size_t capacity, T *storage)
-    {
-        HRSIM_ASSERT(st_->visible == st_->poppedThisCycle &&
-                     st_->staged == 0);
-        HRSIM_ASSERT(storage != nullptr);
-        st_->capacity = static_cast<std::uint32_t>(capacity);
-        ownBuf_.reset();
         ext_ = storage;
-        st_->head = 0;
-        st_->tail = 0;
-        st_->visible = 0;
-        st_->poppedThisCycle = 0;
+        *st_ = FifoState{};
+        st_->capacity = static_cast<std::uint32_t>(capacity);
     }
 
     std::size_t capacity() const { return st_->capacity; }
@@ -588,8 +552,8 @@ class ColumnFifo
         return ext_[index];
     }
 
-    /** Flat handle onto this queue (see FifoView). Re-acquire after
-     *  bindState() or setCapacity(). */
+    /** Flat handle onto this queue (see FifoView). Valid once
+     *  bind() ran. */
     FifoView<T> view() { return FifoView<T>{st_, ext_}; }
 
   private:
@@ -599,10 +563,8 @@ class ColumnFifo
         return index + 1 == st_->capacity ? 0 : index + 1;
     }
 
-    std::unique_ptr<FifoState> ownSt_; //!< oracle cursor storage
-    FifoState *st_;                    //!< live cursor block
-    T *ext_ = nullptr;          //!< element storage (owned or arena)
-    std::unique_ptr<T[]> ownBuf_; //!< owned storage when none given
+    FifoState *st_ = nullptr; //!< cursor block (network column)
+    T *ext_ = nullptr;        //!< element storage (caller arena)
 };
 
 } // namespace hrsim

@@ -1,7 +1,6 @@
 #include "core/system.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "ckpt/codec.hh"
 #include "ckpt/result_io.hh"
@@ -9,8 +8,6 @@
 #include "mesh/mesh_network.hh"
 #include "obs/manifest.hh"
 #include "ring/slotted_network.hh"
-#include "sim/columns.hh"
-#include "sim/fastpath.hh"
 #include "workload/region.hh"
 
 namespace hrsim
@@ -116,29 +113,12 @@ System::System(const SystemConfig &cfg)
     memActive_.assign(num_pms, 0);
     activeMems_.reserve(num_pms);
 
-    // Active-set scheduling rides on the idleSkip contract; the
-    // HRSIM_FORCE_FULL_SCAN environment variable (any value but "" or
-    // "0") forces the legacy full-scan path so the two can be
-    // regression-checked against each other.
-    const char *force = std::getenv("HRSIM_FORCE_FULL_SCAN");
-    const bool full_scan =
-        force != nullptr && force[0] != '\0' &&
-        !(force[0] == '0' && force[1] == '\0');
-    activeSched_ = cfg_.sim.idleSkip && !full_scan;
-
-    // The columnar tick engine has its own oracle switch
-    // (HRSIM_NO_COLUMNAR, read once here); see src/sim/columns.hh.
-    // Must precede setActiveScheduling() so its wake seeding lands
-    // in the columnar bitmap mask rather than the legacy ActiveSet.
-    network_->setColumnar(columnarEnabled());
-
-    network_->setActiveScheduling(activeSched_);
-
-    // The worm-streaming fast path has its own oracle switch
-    // (HRSIM_NO_FASTPATH, read once here); see src/sim/fastpath.hh.
-    // Must precede registerSystemMetrics(): the streamed-flits
-    // metrics register only when the fast path is on.
-    network_->setFastPath(fastPathEnabled());
+    // idleSkip selects the engine: the production engine (active
+    // scheduling, streaming evaluate, fast-forward) or the reference
+    // engine (everything every cycle). Must precede
+    // registerSystemMetrics(): the streamed-flits metrics register
+    // only on the production engine.
+    network_->setActiveScheduling(cfg_.sim.idleSkip);
 
     registerSystemMetrics();
 }
@@ -299,11 +279,11 @@ System::registerSystemMetrics()
         });
     }
 
-    // Scheduler introspection. Registered only when active
-    // scheduling is on so full-scan runs stay comparable to
-    // pre-scheduler artifacts (tests strip the sched.* namespace
-    // before comparing the two modes).
-    if (activeSched_) {
+    // Scheduler introspection. Registered only on the production
+    // engine so reference runs stay comparable to pre-scheduler
+    // artifacts (tests strip the sched.* namespace before comparing
+    // the two engines).
+    if (cfg_.sim.idleSkip) {
         metrics_.addCounter("sched.skipped_cycles", &skippedCycles_);
         metrics_.addGauge("sched.active_nodes", [this]() {
             return static_cast<double>(network_->activeNodeCount());
@@ -408,7 +388,7 @@ System::tickOnce()
 void
 System::fastForwardQuiescent(Cycle limit)
 {
-    if (!activeSched_ || !network_->isIdle())
+    if (!cfg_.sim.idleSkip || !network_->isIdle())
         return;
 
     Cycle target = limit;
@@ -762,9 +742,7 @@ System::saveCheckpoint(const std::string &path) const
     CheckpointHeader header;
     header.version = ckptSchemaVersion;
     header.configKey = configKey(cfg_);
-    header.columnar = columnarEnabled();
-    header.fastPath = fastPathEnabled();
-    header.activeSched = activeSched_;
+    header.productionEngine = cfg_.sim.idleSkip;
     header.cycle = now_;
     writeCheckpointFile(path, header, w);
 }
@@ -792,13 +770,14 @@ System::restoreCheckpoint(const std::string &path)
             "checkpoint: config mismatch\n  snapshot: " +
             header.configKey + "\n  run:      " + own_key);
     }
-    if (header.columnar != columnarEnabled() ||
-        header.fastPath != fastPathEnabled() ||
-        header.activeSched != activeSched_) {
+    if (header.productionEngine != cfg_.sim.idleSkip) {
         throw CheckpointError(
-            "checkpoint: build-flag plane mismatch (the snapshot was "
-            "taken under different columnar / fast-path / "
-            "active-scheduling oracle switches than this run)");
+            "checkpoint: engine mismatch (the snapshot was taken on "
+            "the " +
+            std::string(header.productionEngine ? "production"
+                                                : "reference") +
+            " engine, this run uses sim.idleSkip = " +
+            (cfg_.sim.idleSkip ? "true" : "false") + ")");
     }
 
     CkptReader r(std::move(payload));

@@ -66,10 +66,15 @@ struct SimConfig
     /** Cycles without any delivery before declaring a stall. */
     Cycle watchdogCycles = 50000;
     /**
-     * Skip ticking provably-idle components (saturated processors,
-     * memories with empty completion queues). Metrics are identical
-     * either way — the flag exists so the legacy every-cycle path can
-     * be benchmarked and regression-checked against the fast one.
+     * Engine selector (DESIGN.md section 10). true, the default, is
+     * the production engine: skip provably-idle processors and
+     * memories, tick only the network components holding work,
+     * stream worm bodies, and fast-forward across globally idle
+     * cycles. false is the reference engine: every component, every
+     * cycle, with the straight-line per-node network code. Results
+     * are identical either way — the reference exists so the
+     * production engine can be benchmarked and regression-checked
+     * against the paper's every-cycle model.
      */
     bool idleSkip = true;
     /**
@@ -292,9 +297,9 @@ class System
 
     /**
      * Replace this freshly-constructed System's state with the
-     * snapshot at @a path. The file's config key and build-flag plane
-     * (columnar / fast-path / active-scheduling oracles) must match
-     * this run's — mismatches throw CheckpointError naming both keys.
+     * snapshot at @a path. The file's config key and engine
+     * (SimConfig::idleSkip) must match this run's — mismatches throw
+     * CheckpointError naming both sides.
      * After restoring, run() continues the saved run: running to
      * cycle Y yields byte-identical metrics and flit events to an
      * uninterrupted run reaching Y. With CheckpointOptions::forkSeed,
@@ -349,9 +354,8 @@ class System
      * completion — clamped so no protocol boundary (warmup start,
      * metrics snapshot, watchdog check) is stepped over. The skipped
      * cycles are provably no-ops, so results stay bit-identical; the
-     * count lands in the sched.skipped_cycles metric. No-op unless
-     * active scheduling is on (idleSkip and not forced off via the
-     * HRSIM_FORCE_FULL_SCAN environment variable).
+     * count lands in the sched.skipped_cycles metric. No-op on the
+     * reference engine (idleSkip off).
      */
     void fastForwardQuiescent(Cycle limit);
 
@@ -375,8 +379,6 @@ class System
     Cycle lastProgress_ = 0;
     std::uint64_t lastActivity_ = 0;
 
-    /** Active-set scheduling + fast-forward enabled (see ctor). */
-    bool activeSched_ = false;
     /** Quiescent cycles fast-forwarded over (sched.skipped_cycles). */
     std::uint64_t skippedCycles_ = 0;
 

@@ -52,8 +52,6 @@ class MeshNetwork : public Network
     std::uint64_t flitsInFlight() const override;
     void registerMetrics(MetricRegistry &registry) const override;
     void setActiveScheduling(bool enabled) override;
-    void setFastPath(bool enabled) override;
-    void setColumnar(bool enabled) override;
     bool isIdle() const override;
     std::size_t activeNodeCount() const override;
     bool faultTargetValid(const FaultTarget &target) const override;
@@ -94,6 +92,12 @@ class MeshNetwork : public Network
     /** One flit-storage arena for every router queue, segmented per
      * router (declared before routers_, which point into it). */
     std::vector<Flit> flitArena_;
+    /** Six FifoState cursor blocks per router at [id * 6] (inputs
+     * N/E/S/W, then outResp, then outReq) and one changed/poked flag
+     * pair per router, both contiguous (see sim/columns.hh; declared
+     * before routers_, which point into them). */
+    std::vector<FifoState> fifoCol_;
+    std::vector<RouterFlags> flagsCol_;
     /** Routers live contiguously so the tick sweep strides linearly
      * instead of chasing one heap pointer per router per phase. */
     StablePool<MeshRouter> routers_;
@@ -102,38 +106,22 @@ class MeshNetwork : public Network
     std::vector<std::uint8_t> routeLut_;
     UtilizationTracker util_;
     UtilizationTracker::GroupId meshGroup_;
-    bool fastPath_ = false;
 
-    // Active-set scheduler state (setActiveScheduling). Router
-    // evaluation order is immaterial (two-phase FIFOs), but the set
-    // still iterates in id order so behaviour is easy to reason about
-    // and identical to the full scan by construction.
+    // Production-engine state (setActiveScheduling). Router
+    // evaluation order is immaterial (two-phase FIFOs), but the mask
+    // still scans in id order so behaviour is easy to reason about
+    // and identical to the full scan by construction. Wakes land in
+    // the mask on either engine; only the production tick reads it.
     bool activeSched_ = false;
-    ActiveSet active_;
+    ActiveMask activeMask_;
     /** Saturated ticks since the last amortized sleep sweep. */
     std::uint32_t satTicks_ = 0;
 
-    // Columnar engine state (setColumnar; see sim/columns.hh): six
-    // FifoState cursor blocks per router at [id * 6] and one
-    // changed/poked flag pair per router, both contiguous, plus the
-    // bitmap active mask replacing active_.
-    bool columnar_ = false;
-    std::vector<FifoState> fifoCol_;
-    std::vector<RouterFlags> flagsCol_;
-    ActiveMask activeMask_;
+    /** Production tick: only the routers in the mask. */
+    void tickScheduled(Cycle now);
 
-    /** Active-scheduled tick over the columnar layout. */
-    void tickColumnar(Cycle now);
-
-    /** Wake a router in whichever scheduler structure is live. */
-    void
-    wakeRouter(std::uint32_t id)
-    {
-        if (columnar_)
-            activeMask_.add(id);
-        else
-            active_.add(id);
-    }
+    /** Commit every router: one linear sweep over fifoCol_. */
+    void commitAll();
 
     /** Per-router fault state; allocated by setFaultAccounting()
      * (i.e. only when a fault plan is active). */

@@ -24,25 +24,19 @@ oppositePort(MeshPort port)
 
 MeshRouter::MeshRouter(NodeId id, int width, std::uint32_t buffer_flits,
                        std::uint32_t queue_flits, bool round_robin,
-                       Flit *storage)
+                       Flit *storage, FifoState *states,
+                       RouterFlags *flags)
     : id_(id), width_(width), x_(id % width), y_(id / width),
-      roundRobin_(round_robin)
+      roundRobin_(round_robin), hot_(flags), col_(states)
 {
     HRSIM_ASSERT(buffer_flits >= 1);
-    if (storage) {
-        for (auto &buf : inBuf_) {
-            buf.setCapacity(buffer_flits, storage);
-            storage += buffer_flits;
-        }
-        outResp_.setCapacity(queue_flits, storage);
-        storage += queue_flits;
-        outReq_.setCapacity(queue_flits, storage);
-    } else {
-        for (auto &buf : inBuf_)
-            buf.setCapacity(buffer_flits);
-        outResp_.setCapacity(queue_flits);
-        outReq_.setCapacity(queue_flits);
+    for (std::size_t p = 0; p < 4; ++p) {
+        inBuf_[p].bind(&states[p], buffer_flits, storage);
+        storage += buffer_flits;
     }
+    outResp_.bind(&states[4], queue_flits, storage);
+    storage += queue_flits;
+    outReq_.bind(&states[5], queue_flits, storage);
     inputBound_.fill(-1);
 }
 
@@ -183,32 +177,23 @@ MeshRouter::evaluateFast(Cycle now)
     // (staged pushes only become visible at commit, so this cannot
     // race with neighbors). If nothing is visible the cycle is a
     // no-op, even when an output is still owned: an owned-but-starved
-    // port just holds its binding, exactly as the legacy traversal
+    // port just holds its binding, exactly as the reference traversal
     // loop would.
+    //
+    // The six cursor blocks are contiguous, so the whole visibility
+    // scan reads one or two cache lines off a single base pointer.
     PortMask vis = 0;
-    if (col_ != nullptr) {
-        // Columnar layout: the six cursor blocks are contiguous, so
-        // the whole visibility scan reads one or two cache lines off
-        // a single base pointer.
-        for (int in = 0; in < PortLocal; ++in) {
-            if (col_[in].visible != 0)
-                vis |= static_cast<PortMask>(1u << in);
-        }
-        const bool local_vis =
-            localSrc_ == LocalSrc::Resp   ? col_[4].visible != 0
-            : localSrc_ == LocalSrc::Req ? col_[5].visible != 0
-                                         : (col_[4].visible |
-                                            col_[5].visible) != 0;
-        if (local_vis)
-            vis |= static_cast<PortMask>(1u << PortLocal);
-    } else {
-        for (int in = 0; in < PortLocal; ++in) {
-            if (!inBuf_[static_cast<std::size_t>(in)].empty())
-                vis |= static_cast<PortMask>(1u << in);
-        }
-        if (peekInput(PortLocal) != nullptr)
-            vis |= static_cast<PortMask>(1u << PortLocal);
+    for (int in = 0; in < PortLocal; ++in) {
+        if (col_[in].visible != 0)
+            vis |= static_cast<PortMask>(1u << in);
     }
+    const bool local_vis =
+        localSrc_ == LocalSrc::Resp   ? col_[4].visible != 0
+        : localSrc_ == LocalSrc::Req ? col_[5].visible != 0
+                                     : (col_[4].visible |
+                                        col_[5].visible) != 0;
+    if (local_vis)
+        vis |= static_cast<PortMask>(1u << PortLocal);
     if (vis == 0)
         return;
 
@@ -247,8 +232,8 @@ MeshRouter::evaluateFast(Cycle now)
     }
 
     // 3. Worm streaming: owned outputs in ascending port order (the
-    //    same order the legacy full scan visits them; see the
-    //    PortMask contract in active_set.hh).
+    //    same order the straight-line loop visits them; see the
+    //    PortMask contract in sim/columns.hh).
     for (PortMask m = ownedMask_; m != 0; m = dropLowestPort(m))
         traverseOutput(lowestSetPort(m), now);
 }
@@ -444,15 +429,6 @@ MeshRouter::killOutput(int out)
         kill.killing = false;
         kill.decided = false;
     }
-}
-
-void
-MeshRouter::commit()
-{
-    for (auto &buf : inBuf_)
-        buf.commit();
-    outResp_.commit();
-    outReq_.commit();
 }
 
 bool

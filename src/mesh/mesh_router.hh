@@ -26,7 +26,6 @@
 #include "fault/fault_plan.hh"
 #include "obs/flit_trace.hh"
 #include "proto/packet.hh"
-#include "sim/active_set.hh"
 #include "sim/columns.hh"
 #include "stats/utilization.hh"
 
@@ -52,12 +51,10 @@ MeshPort oppositePort(MeshPort port);
  * would grow MeshRouter ~3x, and the per-cycle sweep over all
  * routers is cache-footprint-bound (measured slower inline, both
  * with heap-allocated routers and with the contiguous pool layout).
- * ColumnFifo additionally lets the network hoist the six cursor
- * blocks into a contiguous FifoState column (bindColumns), so the
- * end-of-cycle commit sweep and the neighbors' canPush() probes read
- * hot columns instead of router objects; unbound (the
- * HRSIM_NO_COLUMNAR oracle) it is cursor-in-object like the old
- * StagedFifo<Flit, 0> was.
+ * ColumnFifo keeps the six cursor blocks in a contiguous FifoState
+ * column owned by the network, so the end-of-cycle commit sweep and
+ * the neighbors' canPush() probes read hot columns instead of router
+ * objects.
  */
 using MeshFifo = ColumnFifo<Flit>;
 
@@ -145,15 +142,18 @@ class MeshRouter
      * @param queue_flits PM output queue depth (>= largest packet).
      * @param round_robin Rotate output arbitration (paper default);
      *        false selects fixed-priority (ablation only).
-     * @param storage Optional external flit storage for all six
-     *        queues, arenaFlits() elements (the network passes one
-     *        arena segment per router so a router's buffered flits
-     *        sit on adjacent cache lines); nullptr lets each queue
-     *        heap-allocate its own buffer.
+     * @param storage Flit storage for all six queues, arenaFlits()
+     *        elements (the network passes one arena segment per
+     *        router so a router's buffered flits sit on adjacent
+     *        cache lines).
+     * @param states The six queue cursor blocks (inBuf_[0..3],
+     *        outResp_, outReq_ in that order) in the network's
+     *        FifoState column.
+     * @param flags The changed/poked pair in the network's column.
      */
     MeshRouter(NodeId id, int width, std::uint32_t buffer_flits,
-               std::uint32_t queue_flits, bool round_robin = true,
-               Flit *storage = nullptr);
+               std::uint32_t queue_flits, bool round_robin,
+               Flit *storage, FifoState *states, RouterFlags *flags);
 
     MeshRouter(const MeshRouter &) = delete;
     MeshRouter &operator=(const MeshRouter &) = delete;
@@ -185,8 +185,8 @@ class MeshRouter
     }
 
     /**
-     * Select the worm-streaming fast path (default off = the legacy
-     * straight-line loops, which double as the bit-identity oracle).
+     * Select the worm-streaming fast path (the production engine;
+     * default off = the straight-line loops of the reference engine).
      * Set once after construction; results are identical either way.
      */
     void setFastPath(bool enabled) { fastPath_ = enabled; }
@@ -231,9 +231,6 @@ class MeshRouter
     /** External event: ensure the next retain keeps this router. */
     void poke() { hot_->poked = true; }
 
-    /** End-of-cycle commit of all router FIFOs. */
-    void commit();
-
     bool canInject(const Packet &pkt) const;
     void inject(const Packet &pkt);
     void setDeliver(DeliverFn fn) { deliver_ = std::move(fn); }
@@ -245,45 +242,20 @@ class MeshRouter
     void setTracerSlot(FlitTracer *const *slot) { tracerSlot_ = slot; }
 
     /**
-     * The network's router ActiveSet: pushing a flit into a
-     * neighbor's input buffer wakes the neighbor (by its PM id).
+     * The network's router mask: pushing a flit into a neighbor's
+     * input buffer wakes the neighbor (by its PM id).
      */
-    void setWakeSet(ActiveSet *set) { wakeSet_ = set; }
-
-    /** Route wakes into the columnar bitmap (wins over wakeSet_). */
     void setWakeMask(ActiveMask *mask) { wakeMask_ = mask; }
 
     /**
-     * Columnar rebinding (see sim/columns.hh): hoist the six queue
-     * cursor blocks into @a states (inBuf_[0..3], outResp_, outReq_
-     * in that order) and the changed/poked flag pair into @a flags —
-     * all network-column slots. Current values move over; call once
-     * at setup, before the first tick.
+     * Cache each output's utilization flag/counter pair (the network
+     * calls this once every link is registered, when the tracker's
+     * counter pointers are stable).
      */
     void
-    bindColumns(FifoState *states, RouterFlags *flags)
-    {
-        for (std::size_t p = 0; p < 4; ++p)
-            inBuf_[p].bindState(&states[p]);
-        outResp_.bindState(&states[4]);
-        outReq_.bindState(&states[5]);
-        col_ = states;
-        *flags = *hot_;
-        hot_ = flags;
-    }
-
-    /**
-     * Re-cache the flat peer-buffer views after every router's
-     * bindColumns() moved the cursor blocks (the network calls this
-     * in a second pass — a view cached before the *neighbor's*
-     * binding would point at its abandoned oracle block).
-     */
-    void
-    refreshViews()
+    cacheUtilCounters()
     {
         for (auto &port : out_) {
-            if (port.peerBuf != nullptr)
-                port.peer = port.peerBuf->view();
             if (port.util != nullptr) {
                 port.utilMeasuring = port.util->measuringFlag();
                 port.utilCounter =
@@ -328,7 +300,7 @@ class MeshRouter
      * Flits forwarded on an already-owned output port, i.e. moved
      * without re-running routing or arbitration (every non-head flit
      * of every worm). A pure function of the simulation history —
-     * identical under fast path and legacy loops.
+     * identical under fast path and straight-line loops.
      */
     std::uint64_t streamedFlits() const { return streamedFlits_; }
 
@@ -343,7 +315,7 @@ class MeshRouter
     void loadState(CkptReader &r);
 
   private:
-    /** Legacy straight-line evaluate (the bit-identity oracle). */
+    /** Straight-line evaluate (the reference engine). */
     void evaluateLegacy(Cycle now);
 
     /** Mask-driven evaluate: LUT routing, ctz port iteration. */
@@ -373,12 +345,10 @@ class MeshRouter
         // already poked, and skipping the redundant store keeps its
         // flag line clean in this core's cache.
         RouterFlags &hot = *neighbor->hot_;
-        if (!hot.poked)    // stay up next cycle
+        if (!hot.poked) // stay up next cycle
             hot.poked = true;
-        if (wakeMask_)     // and wake if sleeping
-            wakeMask_->add(static_cast<std::uint32_t>(neighbor->id_));
-        else if (wakeSet_)
-            wakeSet_->add(static_cast<std::uint32_t>(neighbor->id_));
+        // and wake if sleeping
+        wakeMask_->add(static_cast<std::uint32_t>(neighbor->id_));
     }
 
     NodeId id_;
@@ -411,33 +381,30 @@ class MeshRouter
          * feeder for directional inputs, null for the local port. */
         MeshRouter *srcUpstream = nullptr;
         MeshRouter *neighbor = nullptr;
-        /** The neighbor's facing input buffer (cached at connect,
-         * re-cached by refreshViews() after column binding). */
+        /** The neighbor's facing input buffer (cached at connect). */
         MeshFifo *peerBuf = nullptr;
-        /** Flat handle onto peerBuf (same re-cache discipline). */
+        /** Flat handle onto peerBuf. */
         FifoView<Flit> peer{};
         UtilizationTracker *util = nullptr;
         UtilizationTracker::LinkId link = 0;
-        /** Cached tracker internals (refreshViews): one flag load
-         * and one increment per hop instead of two vector walks. */
+        /** Cached tracker internals (cacheUtilCounters): one flag
+         * load and one increment per hop instead of two vector
+         * walks. */
         const bool *utilMeasuring = nullptr;
         std::uint64_t *utilCounter = nullptr;
     };
     std::array<Output, NumMeshPorts> out_;
 
     bool fastPath_ = false;
-    /** changed/poked flag pair behind a rebindable handle: the sleep
-     * sweep reads and cross-router wakes write through hot_, which
-     * the columnar engine repoints at a network column slot
-     * (in-object by default — the HRSIM_NO_COLUMNAR layout). */
-    RouterFlags hotLocal_;
-    RouterFlags *hot_ = &hotLocal_;
+    /** changed/poked flag pair in a network column slot: the sleep
+     * sweep reads and cross-router wakes write through hot_. */
+    RouterFlags *hot_;
     /** This router's row of the network's e-cube LUT (may be null). */
     const std::uint8_t *routeRow_ = nullptr;
-    /** The six contiguous column cursor blocks once bound (null in
-     * the HRSIM_NO_COLUMNAR layout): the fast-path visibility scan
-     * reads them with one base pointer instead of six st_ hops. */
-    const FifoState *col_ = nullptr;
+    /** The six contiguous column cursor blocks: the fast-path
+     * visibility scan reads them with one base pointer instead of
+     * six st_ hops. */
+    const FifoState *col_;
     /** Port activity: inputs bound to an output worm. */
     PortMask boundMask_ = 0;
     /** Port activity: outputs owned by an input worm. */
@@ -448,9 +415,7 @@ class MeshRouter
 
     DeliverFn deliver_;
     FlitTracer *const *tracerSlot_ = nullptr;
-    ActiveSet *wakeSet_ = nullptr;
-    /** Columnar wake target; when set it wins over wakeSet_. */
-    ActiveMask *wakeMask_ = nullptr;
+    ActiveMask *wakeMask_ = nullptr; //!< the network's router mask
     /** Fault state + ledger; null (the fast case) without a plan. */
     MeshRouterFaults *faults_ = nullptr;
     FaultAccounting *acct_ = nullptr;

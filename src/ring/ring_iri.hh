@@ -80,9 +80,10 @@ class RingIri
     void commitUpper();
 
     /**
-     * Select the devirtualized transmit on both sides (default off =
-     * the legacy virtual-source arbitration, the bit-identity
-     * oracle; see DESIGN.md section 12).
+     * Select the devirtualized transmit on both sides (the
+     * production engine; default off = the per-node virtual-source
+     * arbitration of the reference engine; see DESIGN.md section
+     * 12). Set by RingNetwork::setActiveScheduling.
      */
     void setFastPath(bool enabled) { fastPath_ = enabled; }
 

@@ -10,14 +10,16 @@
  * committed once per sub-cycle, with their up/down queues acting as
  * the clock-domain crossing.
  *
- * With setActiveScheduling(true) the network ticks only awake
- * components (those holding at least one flit) from two ActiveSets —
- * one for NICs, one for IRIs — iterated in node-id order so the
- * per-category evaluation order of the full scan is preserved
- * exactly. Handing a flit to a sleeping neighbor wakes it (wired via
+ * With setActiveScheduling(true) (the production engine) the network
+ * ticks only awake components (those holding at least one flit) from
+ * two bitmap masks — one for NICs, one for IRIs — scanned in node-id
+ * order so the per-category evaluation order of the full scan is
+ * preserved exactly, and uses the devirtualized transmitFast().
+ * Handing a flit to a sleeping neighbor wakes it (wired via
  * RingOutput::connect); a component goes back to sleep in the
- * end-of-tick sweep once it drains. Results are bit-identical to the
- * full scan — see DESIGN.md section 10 for the invariants.
+ * end-of-tick sweep once it drains. Without it (the reference engine)
+ * every component is evaluated every cycle with the per-node
+ * transmit(). Results are bit-identical — see DESIGN.md section 10.
  */
 
 #ifndef HRSIM_RING_RING_NETWORK_HH
@@ -77,8 +79,6 @@ class RingNetwork : public Network
     std::uint64_t flitsInFlight() const override;
     void registerMetrics(MetricRegistry &registry) const override;
     void setActiveScheduling(bool enabled) override;
-    void setFastPath(bool enabled) override;
-    void setColumnar(bool enabled) override;
     bool isIdle() const override;
     std::size_t activeNodeCount() const override;
     bool faultTargetValid(const FaultTarget &target) const override;
@@ -89,8 +89,8 @@ class RingNetwork : public Network
      * Checkpoint hooks (tick boundary). The snapshot carries only
      * authoritative content — ring occupancies, every component's
      * flit buffers and worm state, the fault planes when a plan is
-     * live; active-set/mask membership is derived (asleep <=> empty,
-     * + fault pins), so the load ends with the same scheduling sweep
+     * live; mask membership is derived (asleep <=> empty, + fault
+     * pins), so the load ends with the same scheduling sweep
      * setActiveScheduling() runs, which also reseeds NIC acceptance
      * and rest state exactly as an uninterrupted run would hold them.
      */
@@ -126,33 +126,17 @@ class RingNetwork : public Network
     /** The side occupying a slot of a ring. */
     RingSide &sideAt(const RingSlotDesc &slot);
 
-    /** Full-scan tick (legacy path, also the bit-identity oracle). */
+    /** Reference tick: every component, every cycle. */
     void tickFullScan(Cycle now);
 
-    /** Active-set tick: only awake components are visited. */
-    void tickActive(Cycle now);
+    /** Production tick: only the components in the masks. */
+    void tickScheduled(Cycle now);
 
-    /** Columnar tick: bitmap masks over hoisted hot columns. */
-    void tickColumnar(Cycle now);
-
-    /** Wake a component in whichever scheduler structure is live. */
-    void
-    wakeNic(std::uint32_t id)
-    {
-        if (columnar_)
-            nicMask_.add(id);
-        else
-            activeNics_.add(id);
-    }
-
-    void
-    wakeIri(std::uint32_t id)
-    {
-        if (columnar_)
-            iriMask_.add(id);
-        else
-            activeIris_.add(id);
-    }
+    /**
+     * Establish "asleep <=> empty" for the production engine: wake
+     * everything holding flits (or fault-pinned), rest the others.
+     */
+    void seedSchedule();
 
     Params params_;
     RingStructure structure_;
@@ -174,25 +158,21 @@ class RingNetwork : public Network
     /** IRIs whose upper side runs at the system clock. */
     std::vector<RingIri *> slowUpperIris_;
 
-    bool fastPath_ = false;
-
-    // Active-set scheduler state (setActiveScheduling).
+    /** Production engine selected (setActiveScheduling). */
     bool activeSched_ = false;
-    ActiveSet activeNics_;
-    ActiveSet activeIris_;
 
-    // Columnar engine state (setColumnar; see sim/columns.hh). The
-    // hot column holds every ring attachment point's input latch +
-    // acceptance flag in one contiguous array — the whole inter-node
-    // communication fabric of the network — indexed like
-    // sideFaults_: NIC pm at [pm], IRI i's lower/upper sides at
-    // [P + 2i] / [P + 2i + 1].
+    // Columnar state (see sim/columns.hh). The hot column holds every
+    // ring attachment point's input latch + acceptance flag in one
+    // contiguous array — the whole inter-node communication fabric
+    // of the network — indexed like sideFaults_: NIC pm at [pm], IRI
+    // i's lower/upper sides at [P + 2i] / [P + 2i + 1]. The masks
+    // are the production engine's schedule; wakes land in them on
+    // either engine but only the production tick reads them.
     struct RingHot
     {
         RingLatch in;
         bool accept = false;
     };
-    bool columnar_ = false;
     std::vector<RingHot> hotCol_;
     ActiveMask nicMask_;
     ActiveMask iriMask_;

@@ -69,8 +69,9 @@ class RingNic
 
     /**
      * Select the devirtualized transmit with lazy admission probes
-     * (default off = the legacy virtual-source arbitration, the
-     * bit-identity oracle; see DESIGN.md section 12).
+     * (the production engine; default off = the per-node
+     * virtual-source arbitration of the reference engine; see
+     * DESIGN.md section 12). Set by RingNetwork::setActiveScheduling.
      */
     void setFastPath(bool enabled) { fastPath_ = enabled; }
 

@@ -30,7 +30,6 @@
 #include "fault/fault_plan.hh"
 #include "obs/flit_trace.hh"
 #include "proto/packet.hh"
-#include "sim/active_set.hh"
 #include "sim/columns.hh"
 #include "stats/utilization.hh"
 
@@ -276,19 +275,17 @@ class RingOutput
      * (may be null when tracing is unused) and @a trace_node names
      * this link's driver in trace events: the PM id for NIC outputs,
      * -(2*iri+1) / -(2*iri+2) for IRI lower/upper sides.
-     * @a wake_set / @a wake_id name the downstream component in its
-     * network's active set, so staging a flit into a sleeping
-     * neighbor's latch wakes it (nullptr when the owning network has
-     * no active-set scheduler).
+     * @a wake_mask / @a wake_id name the downstream component in its
+     * network's active mask, so staging a flit into a sleeping
+     * neighbor's latch wakes it.
      */
     void
     connect(RingLatch *latch, const bool *accept_flag,
             UtilizationTracker *util, UtilizationTracker::LinkId link,
             RingOccupancy *occupancy, NodeId subtree_lo,
             NodeId subtree_hi, std::uint32_t starvation_limit,
-            FlitTracer *const *tracer_slot = nullptr,
-            NodeId trace_node = invalidNode,
-            ActiveSet *wake_set = nullptr, std::uint32_t wake_id = 0)
+            FlitTracer *const *tracer_slot, NodeId trace_node,
+            ActiveMask *wake_mask, std::uint32_t wake_id)
     {
         downstream_ = latch;
         acceptFlag_ = accept_flag;
@@ -303,25 +300,9 @@ class RingOutput
         starvationLimit_ = starvation_limit;
         tracerSlot_ = tracer_slot;
         traceNode_ = trace_node;
-        wakeSet_ = wake_set;
+        wakeMask_ = wake_mask;
         wakeId_ = wake_id;
     }
-
-    /**
-     * Columnar rebinding (see sim/columns.hh): re-target the
-     * downstream latch/acceptance pair after the network hoisted
-     * them into its columns. Called once at setup, before the first
-     * tick, together with the downstream side's bindColumns().
-     */
-    void
-    repoint(RingLatch *latch, const bool *accept_flag)
-    {
-        downstream_ = latch;
-        acceptFlag_ = accept_flag;
-    }
-
-    /** Route wakes into the columnar bitmap (wins over wakeSet_). */
-    void setWakeMask(ActiveMask *mask) { wakeMask_ = mask; }
 
     /**
      * Attach this output's fault state and the network's shared
@@ -744,14 +725,7 @@ class RingOutput
     }
 
     /** Wake the downstream component in its network's scheduler. */
-    void
-    wake() const
-    {
-        if (wakeMask_)
-            wakeMask_->add(wakeId_); // columnar bitmap engine
-        else if (wakeSet_)
-            wakeSet_->add(wakeId_); // legacy ActiveSet engine
-    }
+    void wake() const { wakeMask_->add(wakeId_); }
 
     FlitSource *
     sourceFor(RingSource kind, FlitSource *ring, FlitSource *queue_a,
@@ -778,10 +752,8 @@ class RingOutput
     NodeId subtreeHi_ = 0;
     FlitTracer *const *tracerSlot_ = nullptr;
     NodeId traceNode_ = invalidNode;
-    ActiveSet *wakeSet_ = nullptr; //!< downstream's active set
-    /** Columnar wake target; when set it wins over wakeSet_. */
-    ActiveMask *wakeMask_ = nullptr;
-    std::uint32_t wakeId_ = 0;     //!< downstream's index therein
+    ActiveMask *wakeMask_ = nullptr; //!< downstream's active mask
+    std::uint32_t wakeId_ = 0;       //!< downstream's index therein
     std::uint32_t starvationLimit_ = 0;
     std::uint32_t starve_ = 0; //!< cycles a ready queue was passed over
     std::uint64_t streamedFlits_ = 0;
@@ -800,11 +772,9 @@ class RingOutput
  *
  * The input latch and phase-A acceptance flag are the side's *hot*
  * state: the upstream neighbor's output writes/reads them every
- * cycle. Both are accessed through rebindable handles so the
- * columnar engine (sim/columns.hh) can hoist them into a
- * network-owned column — in()/accept() behave identically in both
- * layouts, only the storage address differs. Default-bound to
- * in-object storage (the HRSIM_NO_COLUMNAR oracle layout).
+ * cycle. Both live in a network-owned column (sim/columns.hh) that
+ * the network constructor binds once through bindColumns(), before
+ * anything reads them.
  */
 struct RingSide
 {
@@ -822,16 +792,13 @@ struct RingSide
     bool accept() const { return *accept_; }
 
     /**
-     * Hoist the hot pair into @a latch / @a accept_flag (a network
-     * column slot): the current values move over, then every read
-     * and write goes through the new storage. The caller must also
-     * repoint() the upstream RingOutput at the same slot.
+     * Bind the hot pair to @a latch / @a accept_flag (a network
+     * column slot). The upstream RingOutput is connected to the same
+     * slot.
      */
     void
     bindColumns(RingLatch *latch, bool *accept_flag)
     {
-        *latch = *in_;
-        *accept_flag = *accept_;
         in_ = latch;
         accept_ = accept_flag;
     }
@@ -840,9 +807,7 @@ struct RingSide
      * Checkpoint the side's flit contents and output worm state.
      * Tick-boundary precondition: the latch's staged slot is empty
      * (commit ran) and the acceptance flag is derived — the network's
-     * post-load scheduling sweep recomputes it. The handles make this
-     * layout-transparent: columnar and in-object storage serialize
-     * identical bytes.
+     * post-load scheduling sweep recomputes it.
      */
     void
     saveState(CkptWriter &w) const
@@ -863,18 +828,16 @@ struct RingSide
     }
 
   private:
-    RingLatch inLocal_;
-    bool acceptLocal_ = false;
-    RingLatch *in_ = &inLocal_;
-    bool *accept_ = &acceptLocal_;
+    RingLatch *in_ = nullptr;
+    bool *accept_ = nullptr;
 };
 
 /**
  * FlitSource for the same-ring transit stream: the ring buffer
  * drains first (FIFO order), then the latch flit may bypass the
  * buffer entirely when the buffer is empty. The latch is read
- * through the owning side's handle, so column rebinding after
- * construction is transparent.
+ * through the owning side's handle, which the network binds after
+ * construction.
  */
 class RingStreamSource final : public FlitSource
 {

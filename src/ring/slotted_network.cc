@@ -102,8 +102,8 @@ SlottedNic::evaluate(Cycle now, UtilizationTracker &util,
     HRSIM_ASSERT(!downstream->staged);
     if (outgoing) {
         downstream->staged = outgoing;
-        if (wakeSet) // wake a sleeping neighbor
-            wakeSet->add(downstreamComp);
+        if (wakeMask) // wake a sleeping neighbor
+            wakeMask->add(downstreamComp);
         util.recordTransfer(link);
     }
 }
@@ -226,8 +226,8 @@ SlottedIri::evaluateLower(UtilizationTracker &util,
     HRSIM_ASSERT(!lowerDownstream->staged);
     if (outgoing) {
         lowerDownstream->staged = outgoing;
-        if (wakeSet) // wake a sleeping neighbor
-            wakeSet->add(lowerDownstreamComp);
+        if (wakeMask) // wake a sleeping neighbor
+            wakeMask->add(lowerDownstreamComp);
         util.recordTransfer(link);
     }
 }
@@ -308,8 +308,8 @@ SlottedIri::evaluateUpper(UtilizationTracker &util,
     HRSIM_ASSERT(!upperDownstream->staged);
     if (outgoing) {
         upperDownstream->staged = outgoing;
-        if (wakeSet) // wake a sleeping neighbor
-            wakeSet->add(upperDownstreamComp);
+        if (wakeMask) // wake a sleeping neighbor
+            wakeMask->add(upperDownstreamComp);
         util.recordTransfer(link);
     }
 }
@@ -405,7 +405,7 @@ SlottedRingNetwork::SlottedRingNetwork(const Params &params)
             util_.group("ring level " + std::to_string(level));
     }
 
-    // Active-set bookkeeping: one combined component index space,
+    // Active-mask bookkeeping: one combined component index space,
     // NICs first, then IRIs. Wake wiring is installed unconditionally
     // (idempotent-cheap in full-scan mode).
     active_.reset(static_cast<std::size_t>(num_pms) + iris_.size());
@@ -417,9 +417,9 @@ SlottedRingNetwork::SlottedRingNetwork(const Params &params)
         }
     }
     for (SlottedNic &nic : nics_)
-        nic.wakeSet = &active_;
+        nic.wakeMask = &active_;
     for (SlottedIri &iri : iris_)
-        iri.wakeSet = &active_;
+        iri.wakeMask = &active_;
 
     // Wire each ring and build the evaluation schedule.
     for (std::size_t r = 0; r < structure_.rings.size(); ++r) {
@@ -576,8 +576,9 @@ SlottedRingNetwork::tick(Cycle now)
     // and they hold no slot cell that must rotate). A component woken
     // mid-schedule may see its own hop run later in this pass; the
     // full scan runs that hop too, on the same empty visible state,
-    // so both paths agree. Commits dispatch over the live set so
-    // mid-tick wakes publish their staged cells.
+    // so both paths agree. Commits dispatch over the live mask so
+    // mid-tick wakes publish their staged cells (commits touch one
+    // component each, so ascending id order serves).
     const auto pms =
         static_cast<std::uint32_t>(structure_.numProcessors());
     for (const Hop &hop : slowHops_) {
@@ -585,7 +586,7 @@ SlottedRingNetwork::tick(Cycle now)
             run(hop);
     }
 
-    for (const std::uint32_t id : active_.raw()) {
+    active_.forEach([this, pms](std::uint32_t id) {
         if (id < pms) {
             nics_[id].commit();
         } else {
@@ -594,7 +595,7 @@ SlottedRingNetwork::tick(Cycle now)
             if (!iriFast_[i])
                 iris_[i].commitUpper();
         }
-    }
+    });
 
     if (!fastHops_.empty()) {
         for (std::uint32_t sub = 0; sub < params_.globalRingSpeed;
@@ -603,10 +604,10 @@ SlottedRingNetwork::tick(Cycle now)
                 if (active_.contains(compOf(hop)))
                     run(hop);
             }
-            for (const std::uint32_t id : active_.raw()) {
+            active_.forEach([this, pms](std::uint32_t id) {
                 if (id >= pms && iriFast_[id - pms])
                     iris_[id - pms].commitUpper();
-            }
+            });
         }
     }
 

@@ -71,41 +71,34 @@ class Network : public Checkpointable
     virtual std::uint64_t flitsInFlight() const = 0;
 
     /**
-     * Switch between the active-set scheduler (true) and the legacy
-     * scan-everything tick loop (false, the default). Results are
-     * bit-identical either way (see DESIGN.md section 10); networks
-     * without an active-set implementation ignore the call.
+     * Select the engine (SimConfig::idleSkip; see DESIGN.md section
+     * 10). true is the production engine: active-mask scheduling of
+     * only the components holding work, plus the worm-streaming
+     * evaluate. false, the default, is the reference engine: every
+     * component is evaluated every cycle with the straight-line
+     * per-node transmit/arbitration code. Results are bit-identical
+     * either way; networks without a production engine ignore the
+     * call. Call once, before the first tick.
      */
     virtual void setActiveScheduling(bool enabled) { (void)enabled; }
 
     /**
-     * Switch between the worm-streaming fast path (true) and the
-     * legacy straight-line tick code it was derived from (false, the
-     * default — and the HRSIM_NO_FASTPATH oracle). Results are
-     * bit-identical either way (see DESIGN.md section 12); networks
-     * without a fast path ignore the call.
+     * No-op shims: the columnar layout and the fast path are not
+     * separate switches (setActiveScheduling() selects the whole
+     * engine). Kept only because hrbench/traced_system.cc still
+     * makes the old calls; only true is accepted.
      */
-    virtual void setFastPath(bool enabled) { (void)enabled; }
-
-    /**
-     * Switch between the columnar tick engine (true) — hot per-cycle
-     * state hoisted into flat struct-of-arrays columns and the active
-     * set held as a two-level bitmap — and the legacy in-object
-     * layout (false, the HRSIM_NO_COLUMNAR oracle). Results are
-     * bit-identical either way (see DESIGN.md section 14); networks
-     * without a columnar engine ignore the call. Must be called
-     * before setActiveScheduling() so wake seeding lands in the
-     * right scheduler structure.
-     */
-    virtual void setColumnar(bool enabled) { (void)enabled; }
+    void setColumnar(bool enabled) const { HRSIM_ASSERT(enabled); }
+    void setFastPath(bool enabled) const { HRSIM_ASSERT(enabled); }
 
     /**
      * True when no component holds any flit, i.e. a tick would move
-     * nothing. O(1) for networks with an active-set scheduler.
+     * nothing. O(1) on the production engine.
      */
     virtual bool isIdle() const { return flitsInFlight() == 0; }
 
-    /** Components currently awake (0 when not active-scheduling). */
+    /** Components currently awake (production engine only; the
+     *  default, for networks without one, is 0). */
     virtual std::size_t activeNodeCount() const { return 0; }
 
     /**

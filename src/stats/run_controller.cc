@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 #include "common/log.hh"
@@ -190,12 +188,6 @@ RunController::onCheckpoint(Cycle now, double occupancy)
     stats.occupancy = occupancy;
     history_.push_back(stats);
 
-    if (std::getenv("HRSIM_DEBUG_STOP") != nullptr) {
-        std::fprintf(stderr,
-                     "ckpt %llu mean=%.2f occ=%.3f relhw=%.4f\n",
-                     (unsigned long long)now, stats.batchMean,
-                     stats.occupancy, relHw_);
-    }
     Decision decision;
     if (convergedAt(closed + 1)) {
         decision.stop = true;

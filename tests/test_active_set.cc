@@ -1,29 +1,28 @@
 /**
  * @file
- * Active-set scheduler tests: ActiveSet container semantics, and the
- * bit-identity contract between the optimized tick paths and their
- * oracles — the active-set scheduler vs the full scan
- * (HRSIM_FORCE_FULL_SCAN=1), the worm-streaming fast path vs the
- * legacy transmit loops (HRSIM_NO_FASTPATH=1), and the columnar tick
- * engine vs the legacy per-node layout (HRSIM_NO_COLUMNAR=1) —
- * across network kinds, clock speeds, workloads and observability
- * settings. The
- * full RunResult is compared — counters, latency statistics, the
- * materialized metric registry and mid-run snapshots — with only the
- * mode-gated metrics (sched.*, *.streamed_flits, which exist only
- * when their mode is on) excluded. See DESIGN.md sections 10 and 12
- * for the invariants under test.
+ * Engine tests: the bit-identity contract between the production
+ * engine (SimConfig::idleSkip = true: active-mask scheduling,
+ * worm-streaming evaluate, fast-forward) and the reference engine
+ * (idleSkip = false: every component every cycle, straight-line
+ * per-node network code) across network kinds, clock speeds,
+ * workloads and observability settings, serially, under a --jobs 4
+ * sweep and on trace replay. The full RunResult is compared —
+ * counters, latency statistics, the materialized metric registry
+ * and mid-run snapshots — with only the engine-gated metrics
+ * (sched.*, *.streamed_flits, which the production engine alone
+ * registers) excluded. Also the ActiveMask scan-order contract
+ * (LayoutSmoke) the production tick relies on. See DESIGN.md
+ * sections 10 and 14 for the invariants under test.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "core/sweep.hh"
 #include "core/system.hh"
-#include "sim/active_set.hh"
+#include "obs/manifest.hh"
 #include "sim/columns.hh"
 #include "workload/trace.hh"
 
@@ -32,119 +31,12 @@ namespace hrsim
 namespace
 {
 
-// ---------------------------------------------------------------- //
-// ActiveSet container semantics
-
-TEST(ActiveSet, AddIsIdempotentAndContainsTracksMembership)
-{
-    ActiveSet set;
-    set.reset(8);
-    EXPECT_TRUE(set.empty());
-
-    set.add(3);
-    set.add(5);
-    set.add(3); // duplicate: no growth
-    EXPECT_EQ(set.size(), 2u);
-    EXPECT_TRUE(set.contains(3));
-    EXPECT_TRUE(set.contains(5));
-    EXPECT_FALSE(set.contains(0));
-}
-
-TEST(ActiveSet, OrderedSortsOutOfOrderWakes)
-{
-    ActiveSet set;
-    set.reset(10);
-    for (const std::uint32_t id : {7u, 2u, 9u, 0u, 4u})
-        set.add(id);
-    EXPECT_EQ(set.ordered(),
-              (std::vector<std::uint32_t>{0, 2, 4, 7, 9}));
-}
-
-TEST(ActiveSet, OrderedPrefixIsStableUnderMidIterationWakes)
-{
-    ActiveSet set;
-    set.reset(16);
-    for (const std::uint32_t id : {6u, 1u, 12u})
-        set.add(id);
-
-    const std::size_t prefix = set.orderedPrefix();
-    ASSERT_EQ(prefix, 3u);
-    // A wake arriving mid-iteration (as a flit handoff would cause)
-    // must not disturb the already-sorted prefix.
-    set.add(0);
-    EXPECT_EQ(set.at(0), 1u);
-    EXPECT_EQ(set.at(1), 6u);
-    EXPECT_EQ(set.at(2), 12u);
-    // ...but the raw list covers the newcomer, in wake order.
-    EXPECT_EQ(set.raw(),
-              (std::vector<std::uint32_t>{1, 6, 12, 0}));
-}
-
-TEST(ActiveSet, RetainPreservesOrderAndClearsMembership)
-{
-    ActiveSet set;
-    set.reset(10);
-    for (std::uint32_t id = 0; id < 10; ++id)
-        set.add(id);
-
-    set.retain([](std::uint32_t id) { return id % 2 == 1; });
-    EXPECT_EQ(set.ordered(),
-              (std::vector<std::uint32_t>{1, 3, 5, 7, 9}));
-    EXPECT_FALSE(set.contains(4));
-
-    // A slept member can wake again.
-    set.add(4);
-    EXPECT_TRUE(set.contains(4));
-    EXPECT_EQ(set.ordered(),
-              (std::vector<std::uint32_t>{1, 3, 4, 5, 7, 9}));
-}
-
-TEST(ActiveSet, ResetDropsEverything)
-{
-    ActiveSet set;
-    set.reset(4);
-    set.add(2);
-    set.reset(4);
-    EXPECT_TRUE(set.empty());
-    EXPECT_FALSE(set.contains(2));
-}
-
-// ---------------------------------------------------------------- //
-// Bit-identity: active-set scheduler vs full-scan oracle
-
-/** Scoped HRSIM_FORCE_FULL_SCAN=1 (read at System construction). */
-class ForceFullScan
-{
-  public:
-    ForceFullScan() { setenv("HRSIM_FORCE_FULL_SCAN", "1", 1); }
-    ~ForceFullScan() { unsetenv("HRSIM_FORCE_FULL_SCAN"); }
-};
-
-/** Scoped HRSIM_NO_FASTPATH=1 (read at System construction): the
- * legacy transmit/arbitration loops, the fast path's oracle. */
-class DisableFastPath
-{
-  public:
-    DisableFastPath() { setenv("HRSIM_NO_FASTPATH", "1", 1); }
-    ~DisableFastPath() { unsetenv("HRSIM_NO_FASTPATH"); }
-};
-
-/** Scoped HRSIM_NO_COLUMNAR=1 (read at System construction): the
- * legacy per-node hot-state layout and ActiveSet tick loops, the
- * columnar engine's oracle. */
-class DisableColumnar
-{
-  public:
-    DisableColumnar() { setenv("HRSIM_NO_COLUMNAR", "1", 1); }
-    ~DisableColumnar() { unsetenv("HRSIM_NO_COLUMNAR"); }
-};
-
 bool
 isModeGatedMetric(const std::string &name)
 {
-    // sched.* and *.streamed_flits are registered only when their
-    // scheduler mode / fast path is on, by design (so artifacts stay
-    // byte-identical across modes); everything else must match.
+    // sched.* and *.streamed_flits are registered only on the
+    // production engine, by design (so artifacts carry no
+    // engine-specific names); everything else must match.
     static const std::string kStreamed = ".streamed_flits";
     return name.rfind("sched.", 0) == 0 ||
            (name.size() >= kStreamed.size() &&
@@ -164,45 +56,45 @@ withoutSchedMetrics(const std::vector<MetricSample> &metrics)
     return kept;
 }
 
-/** Full RunResult equality, modulo the mode-gated metrics. */
+/** Full RunResult equality, modulo the engine-gated metrics. */
 void
-expectSameResult(const RunResult &active, const RunResult &oracle)
+expectSameResult(const RunResult &prod, const RunResult &ref)
 {
-    EXPECT_EQ(active.avgLatency, oracle.avgLatency);
-    EXPECT_EQ(active.latencyCI95, oracle.latencyCI95);
-    EXPECT_EQ(active.samples, oracle.samples);
-    EXPECT_EQ(active.latencyP50, oracle.latencyP50);
-    EXPECT_EQ(active.latencyP95, oracle.latencyP95);
-    EXPECT_EQ(active.latencyP99, oracle.latencyP99);
-    EXPECT_EQ(active.networkUtilization, oracle.networkUtilization);
-    EXPECT_EQ(active.ringLevelUtilization,
-              oracle.ringLevelUtilization);
-    EXPECT_EQ(active.cycles, oracle.cycles);
-    EXPECT_EQ(active.throughputPerPm, oracle.throughputPerPm);
+    EXPECT_EQ(prod.avgLatency, ref.avgLatency);
+    EXPECT_EQ(prod.latencyCI95, ref.latencyCI95);
+    EXPECT_EQ(prod.samples, ref.samples);
+    EXPECT_EQ(prod.latencyP50, ref.latencyP50);
+    EXPECT_EQ(prod.latencyP95, ref.latencyP95);
+    EXPECT_EQ(prod.latencyP99, ref.latencyP99);
+    EXPECT_EQ(prod.networkUtilization, ref.networkUtilization);
+    EXPECT_EQ(prod.ringLevelUtilization,
+              ref.ringLevelUtilization);
+    EXPECT_EQ(prod.cycles, ref.cycles);
+    EXPECT_EQ(prod.throughputPerPm, ref.throughputPerPm);
 
-    EXPECT_EQ(active.counters.missesGenerated,
-              oracle.counters.missesGenerated);
-    EXPECT_EQ(active.counters.remoteIssued,
-              oracle.counters.remoteIssued);
-    EXPECT_EQ(active.counters.remoteCompleted,
-              oracle.counters.remoteCompleted);
-    EXPECT_EQ(active.counters.localIssued,
-              oracle.counters.localIssued);
-    EXPECT_EQ(active.counters.localCompleted,
-              oracle.counters.localCompleted);
-    EXPECT_EQ(active.counters.blockedCycles,
-              oracle.counters.blockedCycles);
+    EXPECT_EQ(prod.counters.missesGenerated,
+              ref.counters.missesGenerated);
+    EXPECT_EQ(prod.counters.remoteIssued,
+              ref.counters.remoteIssued);
+    EXPECT_EQ(prod.counters.remoteCompleted,
+              ref.counters.remoteCompleted);
+    EXPECT_EQ(prod.counters.localIssued,
+              ref.counters.localIssued);
+    EXPECT_EQ(prod.counters.localCompleted,
+              ref.counters.localCompleted);
+    EXPECT_EQ(prod.counters.blockedCycles,
+              ref.counters.blockedCycles);
 
-    EXPECT_EQ(withoutSchedMetrics(active.metrics),
-              withoutSchedMetrics(oracle.metrics));
+    EXPECT_EQ(withoutSchedMetrics(prod.metrics),
+              withoutSchedMetrics(ref.metrics));
 
-    ASSERT_EQ(active.snapshots.size(), oracle.snapshots.size());
-    for (std::size_t i = 0; i < active.snapshots.size(); ++i) {
+    ASSERT_EQ(prod.snapshots.size(), ref.snapshots.size());
+    for (std::size_t i = 0; i < prod.snapshots.size(); ++i) {
         SCOPED_TRACE("snapshot " + std::to_string(i));
-        EXPECT_EQ(active.snapshots[i].cycle,
-                  oracle.snapshots[i].cycle);
-        EXPECT_EQ(withoutSchedMetrics(active.snapshots[i].metrics),
-                  withoutSchedMetrics(oracle.snapshots[i].metrics));
+        EXPECT_EQ(prod.snapshots[i].cycle,
+                  ref.snapshots[i].cycle);
+        EXPECT_EQ(withoutSchedMetrics(prod.snapshots[i].metrics),
+                  withoutSchedMetrics(ref.snapshots[i].metrics));
     }
 }
 
@@ -214,6 +106,14 @@ shortSim()
     sim.batchCycles = 800;
     sim.numBatches = 3;
     return sim;
+}
+
+/** The same point on the reference engine. */
+SystemConfig
+reference(SystemConfig cfg)
+{
+    cfg.sim.idleSkip = false;
+    return cfg;
 }
 
 /** Network/workload grid covering every scheduler specialization:
@@ -294,22 +194,17 @@ bitIdentityGrid()
     return grid;
 }
 
-TEST(ActiveSetScheduler, BitIdenticalToFullScanAcrossGrid)
+TEST(ReferenceEngine, BitIdenticalAcrossGrid)
 {
     for (const auto &[name, cfg] : bitIdentityGrid()) {
         SCOPED_TRACE(name);
-        const RunResult active = runSystem(cfg);
-        RunResult oracle;
-        {
-            ForceFullScan scan;
-            oracle = runSystem(cfg);
-        }
-        expectSameResult(active, oracle);
-        EXPECT_GT(active.samples, 0u);
+        const RunResult production = runSystem(cfg);
+        expectSameResult(production, runSystem(reference(cfg)));
+        EXPECT_GT(production.samples, 0u);
     }
 }
 
-TEST(ActiveSetScheduler, BitIdenticalOnTraceReplay)
+TEST(ReferenceEngine, BitIdenticalOnTraceReplay)
 {
     const Trace trace =
         Trace::synthesizeUniform(8, 2500, 0.015, 0.7, 17);
@@ -317,168 +212,34 @@ TEST(ActiveSetScheduler, BitIdenticalOnTraceReplay)
     cfg.trace = &trace;
     cfg.sim = shortSim();
 
-    const RunResult active = runSystem(cfg);
-    RunResult oracle;
-    {
-        ForceFullScan scan;
-        oracle = runSystem(cfg);
-    }
-    expectSameResult(active, oracle);
-    EXPECT_GT(active.counters.missesGenerated, 0u);
+    const RunResult production = runSystem(cfg);
+    expectSameResult(production, runSystem(reference(cfg)));
+    EXPECT_GT(production.counters.missesGenerated, 0u);
 }
 
-TEST(ActiveSetScheduler, ParallelSweepMatchesFullScanOracle)
+TEST(ReferenceEngine, BitIdenticalOnParallelSweep)
 {
-    // The sweep engine must stay bit-identical under worker-thread
-    // parallelism with the active scheduler on; also exercised by the
-    // ThreadSanitizer build, which would flag any cross-thread access
-    // the scheduler introduced.
+    // Both engines must stay bit-identical under worker-thread
+    // parallelism (each worker owns its System); also exercised by
+    // the ThreadSanitizer build, which would flag any cross-thread
+    // access either engine introduced.
     std::vector<SystemConfig> points;
+    std::vector<SystemConfig> refs;
     for (auto &[name, cfg] : bitIdentityGrid()) {
         if (cfg.sim.metricsEvery == 0 &&
             cfg.sim.watchdogCycles == SimConfig{}.watchdogCycles) {
             points.push_back(cfg);
+            refs.push_back(reference(cfg));
         }
     }
     ASSERT_GE(points.size(), 4u);
 
-    const std::vector<RunResult> active = runSweep(points, 4);
-    std::vector<RunResult> oracle;
-    {
-        ForceFullScan scan;
-        oracle = runSweep(points, 4);
-    }
-    ASSERT_EQ(active.size(), oracle.size());
-    for (std::size_t i = 0; i < active.size(); ++i) {
+    const std::vector<RunResult> prod_results = runSweep(points, 4);
+    const std::vector<RunResult> ref_results = runSweep(refs, 4);
+    ASSERT_EQ(prod_results.size(), ref_results.size());
+    for (std::size_t i = 0; i < prod_results.size(); ++i) {
         SCOPED_TRACE("point " + std::to_string(i));
-        expectSameResult(active[i], oracle[i]);
-    }
-}
-
-// ---------------------------------------------------------------- //
-// Bit-identity: worm-streaming fast path vs legacy loops
-
-TEST(ActiveSetScheduler, FastPathBitIdenticalAcrossGrid)
-{
-    // Completes the mode cube: the grid test above already checks
-    // (fast, active) == (fast, full-scan); here (fast, active) must
-    // also equal (legacy, active) and (legacy, full-scan), so all
-    // four {fast path on/off} x {active set on/off} cells agree.
-    for (const auto &[name, cfg] : bitIdentityGrid()) {
-        SCOPED_TRACE(name);
-        const RunResult fast = runSystem(cfg);
-        RunResult legacy;
-        {
-            DisableFastPath off;
-            legacy = runSystem(cfg);
-        }
-        RunResult legacyOracle;
-        {
-            DisableFastPath off;
-            ForceFullScan scan;
-            legacyOracle = runSystem(cfg);
-        }
-        expectSameResult(fast, legacy);
-        expectSameResult(fast, legacyOracle);
-    }
-}
-
-TEST(ActiveSetScheduler, FastPathBitIdenticalOnParallelSweep)
-{
-    // The fast path must also hold under worker-thread parallelism
-    // (each worker owns its System; the TSan CI stage re-runs this).
-    std::vector<SystemConfig> points;
-    for (auto &[name, cfg] : bitIdentityGrid()) {
-        if (cfg.sim.metricsEvery == 0 &&
-            cfg.sim.watchdogCycles == SimConfig{}.watchdogCycles) {
-            points.push_back(cfg);
-        }
-    }
-    ASSERT_GE(points.size(), 4u);
-
-    const std::vector<RunResult> fast = runSweep(points, 4);
-    std::vector<RunResult> legacy;
-    {
-        DisableFastPath off;
-        legacy = runSweep(points, 4);
-    }
-    ASSERT_EQ(fast.size(), legacy.size());
-    for (std::size_t i = 0; i < fast.size(); ++i) {
-        SCOPED_TRACE("point " + std::to_string(i));
-        expectSameResult(fast[i], legacy[i]);
-    }
-}
-
-// ---------------------------------------------------------------- //
-// Bit-identity: columnar tick engine vs legacy per-node layout
-
-TEST(ActiveSetScheduler, ColumnarBitIdenticalAcrossGrid)
-{
-    // Third axis of the mode cube. The tests above pin the four
-    // {fast path} x {full scan} cells with the columnar engine on;
-    // here the same grid must agree with all four cells of the
-    // legacy-layout plane, so every one of the eight
-    // {columnar} x {fast path} x {full scan} combinations produces
-    // the same RunResult.
-    for (const auto &[name, cfg] : bitIdentityGrid()) {
-        SCOPED_TRACE(name);
-        const RunResult columnar = runSystem(cfg);
-        RunResult legacy;
-        {
-            DisableColumnar off;
-            legacy = runSystem(cfg);
-        }
-        RunResult legacyNoFast;
-        {
-            DisableColumnar off;
-            DisableFastPath slow;
-            legacyNoFast = runSystem(cfg);
-        }
-        RunResult legacyFullScan;
-        {
-            DisableColumnar off;
-            ForceFullScan scan;
-            legacyFullScan = runSystem(cfg);
-        }
-        RunResult legacyAllOracles;
-        {
-            DisableColumnar off;
-            DisableFastPath slow;
-            ForceFullScan scan;
-            legacyAllOracles = runSystem(cfg);
-        }
-        expectSameResult(columnar, legacy);
-        expectSameResult(columnar, legacyNoFast);
-        expectSameResult(columnar, legacyFullScan);
-        expectSameResult(columnar, legacyAllOracles);
-    }
-}
-
-TEST(ActiveSetScheduler, ColumnarBitIdenticalOnParallelSweep)
-{
-    // The layout axis crossed with --jobs: each sweep worker owns its
-    // System (and therefore its own columns), so worker parallelism
-    // must not perturb the layout comparison. The TSan CI stage
-    // re-runs this against data races.
-    std::vector<SystemConfig> points;
-    for (auto &[name, cfg] : bitIdentityGrid()) {
-        if (cfg.sim.metricsEvery == 0 &&
-            cfg.sim.watchdogCycles == SimConfig{}.watchdogCycles) {
-            points.push_back(cfg);
-        }
-    }
-    ASSERT_GE(points.size(), 4u);
-
-    const std::vector<RunResult> columnar = runSweep(points, 4);
-    std::vector<RunResult> legacy;
-    {
-        DisableColumnar off;
-        legacy = runSweep(points, 4);
-    }
-    ASSERT_EQ(columnar.size(), legacy.size());
-    for (std::size_t i = 0; i < columnar.size(); ++i) {
-        SCOPED_TRACE("point " + std::to_string(i));
-        expectSameResult(columnar[i], legacy[i]);
+        expectSameResult(prod_results[i], ref_results[i]);
     }
 }
 
@@ -616,17 +377,22 @@ TEST(ActiveSetScheduler, ReportsSkippedCyclesOnIdleWorkload)
     EXPECT_TRUE(found);
 }
 
-TEST(ActiveSetScheduler, SchedMetricsAbsentUnderFullScan)
+TEST(ReferenceEngine, RegistersNoEngineGatedMetrics)
 {
-    SystemConfig cfg = SystemConfig::ring("2:4", 64);
-    cfg.sim = shortSim();
-    cfg.workload.missRateC = 0.01;
-
-    ForceFullScan scan;
-    const RunResult result = runSystem(cfg);
-    for (const MetricSample &sample : result.metrics)
-        EXPECT_NE(sample.name.rfind("sched.", 0), 0u)
-            << "unexpected " << sample.name;
+    // Saturating points, so the production engine would stream worm
+    // bodies on both network kinds.
+    for (SystemConfig cfg : {SystemConfig::ring("2:4", 64),
+                             SystemConfig::mesh(3, 64, 4)}) {
+        cfg.sim = shortSim();
+        cfg.workload.outstandingT = 4;
+        SCOPED_TRACE(configKey(cfg));
+        const RunResult result = runSystem(reference(cfg));
+        ASSERT_FALSE(result.metrics.empty());
+        for (const MetricSample &sample : result.metrics) {
+            EXPECT_FALSE(isModeGatedMetric(sample.name))
+                << "unexpected " << sample.name;
+        }
+    }
 }
 
 } // namespace

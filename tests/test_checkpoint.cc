@@ -6,9 +6,9 @@
  * and restoring a snapshot into a fresh System then running to cycle
  * Y produces results byte-identical to an uninterrupted run reaching
  * Y — across ring and mesh topologies, buffer depths, double-speed
- * global rings, fault plans, and every oracle plane
- * (full scan / no-columnar / no-fastpath). Plus the refusal paths:
- * config-key, build-plane, fault-plane and topology mismatches must
+ * global rings, fault plans, and both engines (production and
+ * reference). Plus the refusal paths:
+ * config-key, engine, fault-plane and topology mismatches must
  * throw CheckpointError naming the disagreement, never restore
  * garbage.
  *
@@ -19,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -314,46 +313,21 @@ TEST(CheckpointBitIdentity, StopAfterSaveEndsTheRunEarly)
 }
 
 // ---------------------------------------------------------------- //
-// Oracle planes: each engine mode round-trips within its own plane
-
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        setenv(name, value, 1);
-    }
-    ~ScopedEnv() { unsetenv(name_); }
-
-  private:
-    const char *name_;
-};
+// The reference engine round-trips too (on its own engine)
 
 TEST(CheckpointPlanes, FullScanPlaneRoundTrips)
 {
-    ScopedEnv env("HRSIM_FORCE_FULL_SCAN", "1");
-    SystemConfig cfg = SystemConfig::ring("2:4", 64);
-    cfg.sim = shortSim();
-    cfg.workload.outstandingT = 4;
-    roundTrip(cfg, 1250, "full_scan");
-}
-
-TEST(CheckpointPlanes, NoColumnarPlaneRoundTrips)
-{
-    ScopedEnv env("HRSIM_NO_COLUMNAR", "1");
-    SystemConfig cfg = SystemConfig::mesh(3, 64, 4);
-    cfg.sim = shortSim();
-    cfg.workload.outstandingT = 4;
-    roundTrip(cfg, 1250, "no_columnar");
-}
-
-TEST(CheckpointPlanes, NoFastPathPlaneRoundTrips)
-{
-    ScopedEnv env("HRSIM_NO_FASTPATH", "1");
-    SystemConfig cfg = SystemConfig::ring("2:4", 64);
-    cfg.sim = shortSim();
-    cfg.workload.outstandingT = 4;
-    roundTrip(cfg, 1250, "no_fastpath");
+    // One ring and one mesh point on the reference engine (the
+    // production engine is covered by the grid above).
+    for (SystemConfig cfg : {SystemConfig::ring("2:4", 64),
+                             SystemConfig::mesh(3, 64, 4)}) {
+        cfg.sim = shortSim();
+        cfg.sim.idleSkip = false;
+        cfg.workload.outstandingT = 4;
+        roundTrip(cfg, 1250,
+                  cfg.kind == NetworkKind::Mesh ? "reference_mesh"
+                                                : "reference_ring");
+    }
 }
 
 // ---------------------------------------------------------------- //
@@ -466,8 +440,8 @@ TEST(CheckpointMismatch, BuildPlaneMismatchRefused)
     System donor(donor_cfg);
     donor.run();
 
-    ScopedEnv env("HRSIM_FORCE_FULL_SCAN", "1");
     SystemConfig restore_cfg = cfg;
+    restore_cfg.sim.idleSkip = false; // the reference engine
     restore_cfg.ckpt.restorePath = file.path();
     System restored(restore_cfg);
     EXPECT_THROW(restored.run(), CheckpointError);

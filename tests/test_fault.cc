@@ -257,12 +257,12 @@ TEST(FaultDeterminism, RerunsAndEveryCycleDriverAgree)
         const RunResult first = runSystem(base);
         expectIdentical(first, runSystem(base));
 
-        // The every-cycle driver also disables the network's
-        // active-set scheduling, so this crosses the faulted fast
-        // path against the faulted full scan in-process.
-        SystemConfig legacy = base;
-        legacy.sim.idleSkip = false;
-        expectIdentical(first, runSystem(legacy));
+        // idleSkip off selects the reference engine, so this
+        // crosses the faulted production engine against the faulted
+        // reference engine in-process.
+        SystemConfig reference = base;
+        reference.sim.idleSkip = false;
+        expectIdentical(first, runSystem(reference));
     }
 }
 

@@ -110,7 +110,7 @@ TEST(MetricSink, JsonRoundTripsARingRun)
     ASSERT_TRUE(doc.isObject());
     const JsonValue *schema = doc.find("schema");
     ASSERT_NE(schema, nullptr);
-    EXPECT_EQ(schema->str, "hrsim-metrics-v2");
+    EXPECT_EQ(schema->str, "hrsim-metrics-v3");
 
     const JsonValue *manifest = doc.find("manifest");
     ASSERT_NE(manifest, nullptr);
@@ -161,7 +161,7 @@ TEST(MetricSink, CsvCarriesManifestAndEverySample)
                     {metricPoint("ring 2:4", result)});
     const std::string text = out.str();
 
-    EXPECT_NE(text.find("# schema=hrsim-metrics-v2"),
+    EXPECT_NE(text.find("# schema=hrsim-metrics-v3"),
               std::string::npos);
     EXPECT_NE(text.find("# config=" + configKey(cfg)),
               std::string::npos);
@@ -333,7 +333,7 @@ TEST(Manifest, ConfigKeyIsStableAndHashable)
     EXPECT_NE(configKey(a), configKey(c));
 
     const RunManifest manifest = makeManifest(a, 4, 2.0, 1.0e6);
-    EXPECT_EQ(manifest.schema, "hrsim-metrics-v2");
+    EXPECT_EQ(manifest.schema, "hrsim-metrics-v3");
     EXPECT_EQ(manifest.jobs, 4u);
     EXPECT_EQ(manifest.configHash.substr(0, 2), "0x");
     EXPECT_EQ(manifest.configHash.size(), 18u);

@@ -14,7 +14,9 @@
  *   hrsim_cli --mesh 4 --trace-flits flits.log --batches 1
  */
 
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -32,8 +34,6 @@
 #include "obs/flit_trace.hh"
 #include "obs/manifest.hh"
 #include "obs/metric_sink.hh"
-#include "sim/columns.hh"
-#include "sim/fastpath.hh"
 
 namespace
 {
@@ -144,12 +144,29 @@ usage(const char *argv0)
         argv0);
 }
 
+/** "bad value 'V' for FLAG (WHY)" for a rejected numeric token. */
+[[noreturn]] void
+badNumber(const char *flag, const char *value, const char *why)
+{
+    hrsim::fatal(std::string("bad value '") + value + "' for " + flag +
+                 " (" + why + ")");
+}
+
 double
 argDouble(int argc, char **argv, int &i)
 {
     if (i + 1 >= argc)
         hrsim::fatal(std::string("missing value for ") + argv[i]);
-    return std::atof(argv[++i]);
+    const char *flag = argv[i];
+    const char *value = argv[++i];
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(value, &end);
+    if (end == value || *end != '\0')
+        badNumber(flag, value, "not a number");
+    if (errno == ERANGE)
+        badNumber(flag, value, "out of range");
+    return v;
 }
 
 long
@@ -157,7 +174,16 @@ argLong(int argc, char **argv, int &i)
 {
     if (i + 1 >= argc)
         hrsim::fatal(std::string("missing value for ") + argv[i]);
-    return std::atol(argv[++i]);
+    const char *flag = argv[i];
+    const char *value = argv[++i];
+    char *end = nullptr;
+    errno = 0;
+    const long v = std::strtol(value, &end, 10);
+    if (end == value || *end != '\0')
+        badNumber(flag, value, "not an integer");
+    if (errno == ERANGE)
+        badNumber(flag, value, "out of range");
+    return v;
 }
 
 const char *
@@ -405,6 +431,10 @@ main(int argc, char **argv)
                 const long n = argLong(argc, argv, i);
                 if (n < 1)
                     fatal("--jobs needs a worker count >= 1");
+                if (static_cast<unsigned long>(n) > UINT_MAX)
+                    fatal("--jobs " + std::to_string(n) +
+                          " exceeds the largest worker count (" +
+                          std::to_string(UINT_MAX) + ")");
                 jobs = static_cast<unsigned>(n);
                 jobs_given = true;
             } else if (!std::strcmp(arg, "--help") ||
@@ -481,26 +511,6 @@ main(int argc, char **argv)
                          "warning: --stop-batch/--max-cycles/"
                          "--stop-min-batches have no effect without "
                          "--stop-rel-hw\n");
-        }
-        if (!metrics_out.empty() && !fastPathEnabled()) {
-            // Results are bit-identical either way, but the legacy
-            // loops are the slow debugging oracle — flag artifacts
-            // produced under it (the manifest also records
-            // fast_path so the file says it itself).
-            std::fprintf(stderr,
-                         "warning: HRSIM_NO_FASTPATH is set; this "
-                         "run uses the legacy (oracle) tick loops "
-                         "and the manifest will record "
-                         "fast_path=false\n");
-        }
-        if (!metrics_out.empty() && !columnarEnabled()) {
-            // Same oracle caveat for the layout axis: the per-node
-            // legacy layout is bit-identical but slow.
-            std::fprintf(stderr,
-                         "warning: HRSIM_NO_COLUMNAR is set; this "
-                         "run uses the legacy per-node hot-state "
-                         "layout and the manifest will record "
-                         "columnar=false\n");
         }
         if (!sweep_kind.empty() || list_sweep) {
             if (sweep_kind.empty())
