@@ -1,17 +1,18 @@
 /**
  * @file
- * Shared helpers for the per-figure benchmark binaries.
+ * Shared helpers for the benchmark binaries: the figure runner
+ * (bench_figures, over bench/figure_table.hh) and the table and
+ * extension mains.
  *
- * Every binary regenerates one table or figure of the paper: it runs
- * fresh simulations, prints the series as an aligned table, appends
- * machine-readable CSV, and (where the paper calls one out) prints
- * the derived statistic such as the ring/mesh cross-over point.
+ * Each binary runs fresh simulations, prints its series as an aligned
+ * table and appends machine-readable CSV.
  *
  * Setting HRSIM_METRICS_OUT=FILE additionally serializes every point
- * the binary simulates — full metric registry plus run manifest — to
- * FILE in the standard hrsim-metrics-v3 JSON schema, labelled
- * "<series> P=<processors>" so each plotted sample can be traced back
- * to its underlying counters (see EXPERIMENTS.md).
+ * the binary reports — full metric registry plus run manifest — to
+ * FILE in the standard hrsim-metrics-v3 JSON schema, so each plotted
+ * sample can be traced back to its underlying counters. bench_figures
+ * labels a point "<figure id>/<series> P=<processors>" (e.g.
+ * "fig08/16B P=24"); see EXPERIMENTS.md.
  */
 
 #ifndef HRSIM_BENCH_BENCH_COMMON_HH
@@ -24,22 +25,19 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "core/analysis.hh"
 #include "core/experiment.hh"
 #include "core/sweep.hh"
 #include "core/system.hh"
 #include "obs/manifest.hh"
 #include "obs/metric_sink.hh"
-#include "workload/region.hh"
 
 namespace hrsim::bench
 {
 
 /**
- * Worker threads for figure sweeps: HRSIM_JOBS if set (>= 1), else
+ * Worker threads for the bench runner: HRSIM_JOBS if set (>= 1), else
  * one per hardware thread. Results are bit-identical at any setting
  * (see SweepRunner's determinism contract), so parallelism is safe to
  * default on.
@@ -65,7 +63,7 @@ benchJobs()
     return 0; // SweepRunner resolves 0 to hardware_concurrency()
 }
 
-/** Process-wide sweep runner shared by every figure in a binary. */
+/** Process-wide sweep runner shared by every sweep in a binary. */
 inline SweepRunner &
 benchRunner()
 {
@@ -77,7 +75,7 @@ benchRunner()
     return runner;
 }
 
-/** Measurement protocol used by all figure benches. */
+/** Measurement protocol of every figure and the fault extension. */
 inline SimConfig
 benchSim()
 {
@@ -114,9 +112,10 @@ meshConfig(int width, std::uint32_t line_bytes,
 
 /**
  * Process-wide HRSIM_METRICS_OUT collector: accumulates the metric
- * point of every simulated config and writes one hrsim-metrics-v3
+ * point of every reported config and writes one hrsim-metrics-v3
  * JSON artifact when the binary exits. Disabled (and free) unless the
- * environment variable is set.
+ * environment variable is set. The manifest's worker count is the
+ * bench runner's.
  */
 class BenchMetricsDump
 {
@@ -128,9 +127,12 @@ class BenchMetricsDump
         return dump;
     }
 
+    /** Record @a result as "<series> P=<processors>"; @a simulated is
+     *  false when it reuses an earlier point's run, whose node-cycles
+     *  count once. */
     void
     add(const std::string &series, const SystemConfig &cfg,
-        const RunResult &result)
+        const RunResult &result, bool simulated = true)
     {
         if (path_.empty())
             return;
@@ -139,8 +141,10 @@ class BenchMetricsDump
         points_.push_back(metricPoint(
             series + " P=" + std::to_string(cfg.numProcessors()),
             result));
-        nodeCycles_ += static_cast<double>(result.cycles) *
-                       cfg.numProcessors();
+        if (simulated) {
+            nodeCycles_ += static_cast<double>(result.cycles) *
+                           cfg.numProcessors();
+        }
     }
 
     ~BenchMetricsDump()
@@ -151,12 +155,9 @@ class BenchMetricsDump
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - start_)
                 .count();
-        unsigned jobs = benchJobs();
-        if (jobs == 0)
-            jobs = std::thread::hardware_concurrency();
         try {
             writeMetricsFile(path_, "json",
-                             makeManifest(baseCfg_, jobs, wall,
+                             makeManifest(baseCfg_, jobs_, wall,
                                           nodeCycles_),
                              points_);
         } catch (const std::exception &err) {
@@ -170,11 +171,16 @@ class BenchMetricsDump
   private:
     BenchMetricsDump()
     {
-        if (const char *env = std::getenv("HRSIM_METRICS_OUT"))
+        if (const char *env = std::getenv("HRSIM_METRICS_OUT")) {
             path_ = env;
+            // Reading the width here also constructs the runner
+            // before this object, so it is destroyed after it.
+            jobs_ = benchRunner().jobs();
+        }
     }
 
     std::string path_;
+    unsigned jobs_ = 1;
     std::vector<MetricPoint> points_;
     SystemConfig baseCfg_;
     double nodeCycles_ = 0.0;
@@ -182,68 +188,7 @@ class BenchMetricsDump
         std::chrono::steady_clock::now();
 };
 
-/** runSystem() plus HRSIM_METRICS_OUT bookkeeping for one point. */
-inline RunResult
-runPoint(const std::string &series, const SystemConfig &cfg)
-{
-    RunResult result = runSystem(cfg);
-    BenchMetricsDump::instance().add(series, cfg, result);
-    return result;
-}
-
-/** Run @a points on the shared pool, adding avgLatency per point. */
-inline void
-sweepIntoReport(Report &report, const std::string &series,
-                const std::vector<SystemConfig> &points)
-{
-    const std::vector<RunResult> results = benchRunner().run(points);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        report.add(series, points[i].numProcessors(),
-                   results[i].avgLatency);
-        BenchMetricsDump::instance().add(series, points[i],
-                                         results[i]);
-    }
-}
-
-/** Add the ring ladder (Table 2 topologies) to a report series. */
-inline void
-runRingLadder(Report &report, const std::string &series,
-              std::uint32_t line_bytes, int t, double r,
-              std::uint32_t global_speed = 1, int max_nodes = 128)
-{
-    std::vector<SystemConfig> points;
-    for (const std::string &topo : standardRingLadder(line_bytes)) {
-        SystemConfig cfg =
-            ringConfig(topo, line_bytes, t, r, global_speed);
-        if (cfg.numProcessors() > max_nodes)
-            continue;
-        // Skip degenerate points whose access region has no remote
-        // PM (e.g. R = 0.1 on a 4-node system).
-        if (regionRemoteCount(cfg.numProcessors(), r) == 0)
-            continue;
-        points.push_back(cfg);
-    }
-    sweepIntoReport(report, series, points);
-}
-
-/** Add the square-mesh sweep to a report series. */
-inline void
-runMeshSweep(Report &report, const std::string &series,
-             std::uint32_t line_bytes, std::uint32_t buffer_flits,
-             int t, double r, int max_nodes = 121)
-{
-    std::vector<SystemConfig> points;
-    for (const int width : standardMeshWidths(max_nodes)) {
-        SystemConfig cfg =
-            meshConfig(width, line_bytes, buffer_flits, t, r);
-        if (regionRemoteCount(cfg.numProcessors(), r) == 0)
-            continue;
-        points.push_back(cfg);
-    }
-    sweepIntoReport(report, series, points);
-}
-
-/** Print table, cross-over (if both series named), then CSV. */
+/** Print @a report as an aligned table, then as CSV. */
 inline void
 emit(const Report &report)
 {
@@ -251,24 +196,6 @@ emit(const Report &report)
     std::cout << "\n";
     report.writeCsv(std::cout);
     std::cout << std::endl;
-}
-
-/** Print the cross-over between a mesh and a ring series, if any. */
-inline void
-printCrossover(const Report &report, const std::string &mesh_series,
-               const std::string &ring_series)
-{
-    const auto x = crossoverPoint(report.seriesPoints(ring_series),
-                                  report.seriesPoints(mesh_series));
-    if (x) {
-        std::printf("cross-over (%s vs %s): mesh wins above ~%.0f "
-                    "nodes\n",
-                    mesh_series.c_str(), ring_series.c_str(), *x);
-    } else {
-        std::printf("cross-over (%s vs %s): none up to the largest "
-                    "size (rings keep winning or never win)\n",
-                    mesh_series.c_str(), ring_series.c_str());
-    }
 }
 
 } // namespace hrsim::bench

@@ -5,7 +5,8 @@
 #  1. release  — Release build, the full ctest suite (unit tests,
 #                paper-conformance checks, and the script gates:
 #                metrics_schema_check, docs_check, simspeed_smoke,
-#                adaptive_smoke, fault_smoke, ckpt_smoke).
+#                adaptive_smoke, fault_smoke, ckpt_smoke,
+#                figures_metrics_smoke).
 #  2. tsan     — -DHRSIM_SANITIZE=thread, the concurrency-sensitive
 #                tests (sweep engine, adaptive run control, production
 #                vs reference engine under a --jobs 4 sweep, fault

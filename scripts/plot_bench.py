@@ -5,8 +5,9 @@ Every figure bench prints its series twice: an aligned text table and
 long-format CSV (``title,series,x,y``). Pipe one or more bench outputs
 through this script to get one matplotlib figure per title:
 
-    ./build/bench/bench_fig14_compare_4flit | scripts/plot_bench.py
-    cat bench_output.txt | scripts/plot_bench.py --out plots/
+    ./build/bench/bench_figures fig14 | scripts/plot_bench.py
+    ./build/bench/bench_figures > bench_output.txt
+    scripts/plot_bench.py --out plots/ < bench_output.txt
 
 Trajectory mode instead overlays simulator-throughput snapshots
 (``BENCH_simspeed*.json``, as written by scripts/run_simspeed.sh)
