@@ -25,6 +25,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -114,8 +115,8 @@ meshConfig(int width, std::uint32_t line_bytes,
  * Process-wide HRSIM_METRICS_OUT collector: accumulates the metric
  * point of every reported config and writes one hrsim-metrics-v3
  * JSON artifact when the binary exits. Disabled (and free) unless the
- * environment variable is set. The manifest's worker count is the
- * bench runner's.
+ * environment variable is set. The manifest's worker count is 1
+ * unless the binary sets its runner's width with setJobs().
  */
 class BenchMetricsDump
 {
@@ -127,12 +128,15 @@ class BenchMetricsDump
         return dump;
     }
 
-    /** Record @a result as "<series> P=<processors>"; @a simulated is
-     *  false when it reuses an earlier point's run, whose node-cycles
-     *  count once. */
+    /** Worker count recorded in the manifest. */
+    void setJobs(unsigned jobs) { jobs_ = jobs; }
+
+    /** Record @a result as "<series> P=<processors>". Node-cycles
+     *  count once per configKey, as the runner's memo simulates a
+     *  repeated config once. */
     void
     add(const std::string &series, const SystemConfig &cfg,
-        const RunResult &result, bool simulated = true)
+        const RunResult &result)
     {
         if (path_.empty())
             return;
@@ -141,7 +145,7 @@ class BenchMetricsDump
         points_.push_back(metricPoint(
             series + " P=" + std::to_string(cfg.numProcessors()),
             result));
-        if (simulated) {
+        if (counted_.insert(configKey(cfg)).second) {
             nodeCycles_ += static_cast<double>(result.cycles) *
                            cfg.numProcessors();
         }
@@ -171,17 +175,14 @@ class BenchMetricsDump
   private:
     BenchMetricsDump()
     {
-        if (const char *env = std::getenv("HRSIM_METRICS_OUT")) {
+        if (const char *env = std::getenv("HRSIM_METRICS_OUT"))
             path_ = env;
-            // Reading the width here also constructs the runner
-            // before this object, so it is destroyed after it.
-            jobs_ = benchRunner().jobs();
-        }
     }
 
     std::string path_;
     unsigned jobs_ = 1;
     std::vector<MetricPoint> points_;
+    std::unordered_set<std::string> counted_; //!< configKeys
     SystemConfig baseCfg_;
     double nodeCycles_ = 0.0;
     std::chrono::steady_clock::time_point start_ =

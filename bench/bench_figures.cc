@@ -2,15 +2,15 @@
  * @file
  * bench_figures [ID...]: prints the figures of bench/figure_table.hh
  * named by ID, or all in table order; an unknown ID exits 1 before
- * anything runs. The points run as one batch on the bench runner
- * (HRSIM_JOBS workers), keeping the first point of each configKey: a
- * run is a pure function of its config, so each figure prints exactly
- * what a run of its own would.
+ * anything runs. Every point of the selected figures runs as one
+ * batch on the bench runner (HRSIM_JOBS workers), whose memo
+ * simulates a config that several figures plot once: a run is a pure
+ * function of its config, so each figure prints exactly what a run
+ * of its own would.
  */
 
 #include <cstdio>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bench_common.hh"
@@ -22,8 +22,6 @@ namespace
 
 using namespace hrsim;
 using namespace hrsim::bench;
-
-using Slots = std::unordered_map<std::string, std::size_t>; // by configKey
 
 template <typename Fn>
 void
@@ -53,9 +51,10 @@ printCrossover(const Report &report, const Crossover &pair)
     }
 }
 
-void
-printFigure(const Figure &fig, const Slots &slots,
-            const std::vector<RunResult> &results)
+/** Print @a fig from @a result, the result of its first point;
+ *  returns one past the result of its last point. */
+const RunResult *
+printFigure(const Figure &fig, const RunResult *result)
 {
     for (const Panel &panel : fig.panels) {
         std::vector<Report> reports;
@@ -64,22 +63,24 @@ printFigure(const Figure &fig, const Slots &slots,
                 plot.title, "nodes",
                 plot.y == Projection::Latency ? "latency, cycles"
                                               : "% of max");
+            const RunResult *point = result;
             for (const Series &series : panel.series) {
                 for (const SystemConfig &cfg : series.points) {
-                    const RunResult &result =
-                        results[slots.at(configKey(cfg))];
                     report.add(series.name, cfg.numProcessors(),
-                               project(plot.y, result));
+                               project(plot.y, *point++));
                 }
             }
             emit(report);
         }
+        for (const Series &series : panel.series)
+            result += series.points.size();
         for (const Crossover &pair : panel.crossovers)
             printCrossover(reports.front(), pair);
         if (panel.blankLineAfter)
             std::printf("\n");
     }
     std::printf("%s\n", fig.footer.c_str());
+    return result;
 }
 
 } // namespace
@@ -109,26 +110,23 @@ main(int argc, char **argv)
 
     // Constructed first, so the artifact's wall clock covers the runs.
     BenchMetricsDump &dump = BenchMetricsDump::instance();
-    Slots slots;
+    dump.setJobs(benchRunner().jobs());
     std::vector<SystemConfig> batch;
     for (const Figure *fig : figs) {
         forEachPoint(*fig, [&](const Series &, const SystemConfig &cfg) {
-            if (slots.try_emplace(configKey(cfg), batch.size()).second)
-                batch.push_back(cfg);
+            batch.push_back(cfg);
         });
     }
     const std::vector<RunResult> results = benchRunner().run(batch);
 
-    std::vector<bool> dumped(batch.size(), false);
+    const RunResult *result = results.data();
     for (const Figure *fig : figs) {
+        const RunResult *point = result;
         forEachPoint(*fig, [&](const Series &series,
                                const SystemConfig &cfg) {
-            const std::size_t slot = slots.at(configKey(cfg));
-            dump.add(fig->id + "/" + series.name, cfg, results[slot],
-                     !dumped[slot]);
-            dumped[slot] = true;
+            dump.add(fig->id + "/" + series.name, cfg, *point++);
         });
-        printFigure(*fig, slots, results);
+        result = printFigure(*fig, result);
     }
     return 0;
 }

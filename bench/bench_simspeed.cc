@@ -144,9 +144,11 @@ runSweepBench(benchmark::State &state, unsigned jobs)
     const std::vector<SystemConfig> points = sweepPoints();
     SweepOptions opts;
     opts.jobs = jobs;
-    SweepRunner runner(opts);
     std::uint64_t swept = 0;
     for (auto _ : state) {
+        // A fresh runner per iteration: a reused one would serve
+        // every iteration after the first from its memo.
+        SweepRunner runner(opts);
         const auto results = runner.run(points);
         benchmark::DoNotOptimize(results.front().avgLatency);
         swept += points.size();

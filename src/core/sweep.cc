@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <numeric>
 
 #include "ckpt/codec.hh"
 #include "ckpt/result_io.hh"
@@ -12,6 +11,27 @@
 
 namespace hrsim
 {
+
+namespace
+{
+
+/** A point's memo identity (see sweep.hh), or "" when it is never
+ *  shared because it sets a CheckpointOptions field. */
+std::string
+memoKey(const SystemConfig &cfg)
+{
+    const CheckpointOptions &ckpt = cfg.ckpt;
+    if (!ckpt.savePath.empty() || ckpt.saveAt != 0 ||
+        ckpt.saveEvery != 0 || ckpt.stopAfterSave ||
+        !ckpt.restorePath.empty() || ckpt.forkSeed != 0)
+        return "";
+    return configKey(cfg) +
+           (cfg.sim.idleSkip ? " idle_skip=1" : " idle_skip=0") +
+           " metrics_every=" + std::to_string(cfg.sim.metricsEvery) +
+           " watchdog=" + std::to_string(cfg.sim.watchdogCycles);
+}
+
+} // namespace
 
 SweepRunner::SweepRunner(SweepOptions opts) : opts_(opts)
 {
@@ -57,8 +77,6 @@ SweepRunner::runPoint(Batch &batch, std::size_t index) const
 {
     try {
         SystemConfig cfg = (*batch.points)[index];
-        if (opts_.reseedPoints)
-            cfg.sim.seed = pointSeed(cfg.sim.seed, index);
         if (opts_.journalDir.empty()) {
             (*batch.results)[index] = runSystem(cfg);
             return;
@@ -66,10 +84,10 @@ SweepRunner::runPoint(Batch &batch, std::size_t index) const
 
         const std::string stem = opts_.journalDir + "/point_" +
                                  std::to_string(index);
-        const std::string key = configKey(cfg);
         if (opts_.resume) {
             RunResult prior;
-            if (tryReadResultFile(stem + ".result", key, prior)) {
+            if (tryReadResultFile(stem + ".result", configKey(cfg),
+                                  prior)) {
                 (*batch.results)[index] = std::move(prior);
                 return;
             }
@@ -86,16 +104,25 @@ SweepRunner::runPoint(Batch &batch, std::size_t index) const
             cfg.ckpt.saveEvery = opts_.checkpointEvery;
         }
         RunResult result = runSystem(cfg);
-        writeResultFile(stem + ".result", key, result);
-        // The periodic checkpoint is scratch state for resuming this
-        // point; with the result journaled it is dead weight, and
-        // removing it leaves a resumed sweep's directory identical to
-        // an uninterrupted one's.
-        std::remove((stem + ".ckpt").c_str());
+        journal(index, cfg, result);
         (*batch.results)[index] = std::move(result);
     } catch (...) {
         (*batch.errors)[index] = std::current_exception();
     }
+}
+
+void
+SweepRunner::journal(std::size_t index, const SystemConfig &cfg,
+                     const RunResult &result) const
+{
+    const std::string stem =
+        opts_.journalDir + "/point_" + std::to_string(index);
+    writeResultFile(stem + ".result", configKey(cfg), result);
+    // The periodic checkpoint is scratch state for resuming this
+    // point; with the result journaled it is dead weight, and
+    // removing it leaves a resumed sweep's directory identical to an
+    // uninterrupted one's.
+    std::remove((stem + ".ckpt").c_str());
 }
 
 double
@@ -115,16 +142,14 @@ SweepRunner::estimatedCostWeight(const SystemConfig &cfg)
 void
 SweepRunner::drain(Batch &batch)
 {
-    const std::size_t total = batch.points->size();
+    const std::size_t total = batch.order->size();
     std::size_t mine = 0;
     for (;;) {
         const std::size_t claim =
             batch.next.fetch_add(1, std::memory_order_relaxed);
         if (claim >= total)
             break;
-        const std::size_t index =
-            batch.order != nullptr ? (*batch.order)[claim] : claim;
-        runPoint(batch, index);
+        runPoint(batch, (*batch.order)[claim]);
         ++mine;
     }
     if (mine > 0) {
@@ -168,31 +193,58 @@ SweepRunner::workerLoop()
 std::vector<RunResult>
 SweepRunner::run(const std::vector<SystemConfig> &points)
 {
+    constexpr std::size_t none = static_cast<std::size_t>(-1);
+    std::vector<SystemConfig> cfgs = points;
     std::vector<RunResult> results(points.size());
     std::vector<std::exception_ptr> errors(points.size());
 
+    // Split the batch into points to simulate and repeats: a repeat
+    // copies an earlier batch's result (source none) or the result of
+    // its first occurrence in this batch.
+    std::vector<std::string> keys(points.size());
+    std::vector<std::size_t> order;
+    std::vector<std::pair<std::size_t, std::size_t>> repeats;
+    std::unordered_map<std::string, std::size_t> first;
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        if (opts_.reseedPoints)
+            cfgs[i].sim.seed = pointSeed(cfgs[i].sim.seed, i);
+        keys[i] = memoKey(cfgs[i]);
+        if (keys[i].empty()) {
+            order.push_back(i);
+        } else if (const auto hit = memo_.find(keys[i]);
+                   hit != memo_.end()) {
+            CkptReader reader(hit->second);
+            results[i] = loadRunResult(reader);
+            repeats.emplace_back(i, none);
+        } else if (const auto [it, fresh] = first.try_emplace(keys[i], i);
+                   fresh) {
+            order.push_back(i);
+        } else {
+            repeats.emplace_back(i, it->second);
+        }
+    }
+
+    simulated_ += order.size();
     Batch batch;
-    batch.points = &points;
+    batch.points = &cfgs;
     batch.results = &results;
     batch.errors = &errors;
+    batch.order = &order;
 
-    if (jobs_ == 1 || points.size() <= 1) {
+    if (jobs_ == 1 || order.size() <= 1) {
         // Serial: identical to calling runSystem() point by point.
-        for (std::size_t i = 0; i < points.size(); ++i)
-            runPoint(batch, i);
+        for (const std::size_t index : order)
+            runPoint(batch, index);
     } else {
         // Claim costliest points first so a long point (an adaptive
         // maxCycles budget, a large mesh) starts while plenty of
         // small points remain to fill the other workers; the reaped
         // results land by submission index regardless.
-        std::vector<std::size_t> order(points.size());
-        std::iota(order.begin(), order.end(), std::size_t{0});
         std::stable_sort(order.begin(), order.end(),
                          [&](std::size_t a, std::size_t b) {
-                             return estimatedCostWeight(points[a]) >
-                                    estimatedCostWeight(points[b]);
+                             return estimatedCostWeight(cfgs[a]) >
+                                    estimatedCostWeight(cfgs[b]);
                          });
-        batch.order = &order;
         {
             std::lock_guard<std::mutex> lock(mu_);
             batch_ = &batch;
@@ -207,10 +259,33 @@ SweepRunner::run(const std::vector<SystemConfig> &points)
             // enters drain() and touches batch.next / batch.points.
             std::unique_lock<std::mutex> lock(mu_);
             done_.wait(lock, [&] {
-                return batch.completed == points.size() &&
+                return batch.completed == order.size() &&
                        batch.attached == 0;
             });
             batch_ = nullptr;
+        }
+    }
+
+    for (const std::size_t index : order) {
+        if (!keys[index].empty() && !errors[index]) {
+            CkptWriter writer;
+            saveRunResult(writer, results[index]);
+            memo_.emplace(keys[index], writer.data());
+        }
+    }
+    for (const auto &[index, source] : repeats) {
+        if (source != none) {
+            errors[index] = errors[source];
+            if (errors[index])
+                continue;
+            results[index] = results[source];
+        }
+        if (opts_.journalDir.empty())
+            continue;
+        try {
+            journal(index, cfgs[index], results[index]);
+        } catch (...) {
+            errors[index] = std::current_exception();
         }
     }
 

@@ -40,6 +40,21 @@
  * invisible in the output: serial and parallel sweeps stay
  * bit-identical.
  *
+ * Point memo: a runner simulates each distinct point once in its
+ * lifetime. A point whose identity matches one this runner already
+ * simulated, earlier in the same batch or in any earlier batch, is
+ * not run again; it gets a copy of the stored RunResult in its own
+ * submission slot (and, in a journaled sweep, writes its own
+ * point_<i>.result, so the journal directory is the same as if it
+ * had run). The identity is configKey() plus the SimConfig fields
+ * configKey() leaves out that still change the result (idleSkip,
+ * metricsEvery, watchdogCycles), taken after reseedPoints
+ * reseeding. Two kinds of point are never shared: a point with any
+ * CheckpointOptions field set (it writes files, or restores or forks
+ * state), and a point that threw (every submission of it runs again
+ * and rethrows). The memo lives as long as the runner; a caller that
+ * wants fresh runs constructs a fresh runner.
+ *
  * Consumers beyond the figure sweeps: rankHierarchies (core/
  * topology_search.hh), the Table 2 search, runs a cell's candidate
  * hierarchies as one batch on a runner, so it shares the pool.
@@ -53,7 +68,9 @@
 #include <cstdint>
 #include <exception>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/system.hh"
@@ -109,12 +126,18 @@ class SweepRunner
     /** Resolved worker count (>= 1). */
     unsigned jobs() const { return jobs_; }
 
+    /** Points this runner has simulated; memo repeats not counted. */
+    std::size_t simulated() const { return simulated_; }
+
     /**
      * Run every point and return the results in submission order.
-     * With jobs() == 1 the points run inline on the calling thread,
-     * exactly like a hand-written serial loop. If any point throws
-     * (e.g. StallError), the remaining points still run and the
-     * lowest-index exception is rethrown afterwards.
+     * Repeats of a point this runner already simulated are served
+     * from its memo (see the file comment). With jobs() == 1 the
+     * points run inline on the calling thread, exactly like a
+     * hand-written serial loop. If any point throws (e.g.
+     * StallError), the remaining points still run and the
+     * lowest-index exception is rethrown afterwards. Not reentrant:
+     * one run() at a time per runner.
      */
     std::vector<RunResult> run(const std::vector<SystemConfig> &points);
 
@@ -133,10 +156,11 @@ class SweepRunner
   private:
     struct Batch
     {
+        /** Every submitted point, already reseeded. */
         const std::vector<SystemConfig> *points = nullptr;
         std::vector<RunResult> *results = nullptr;
         std::vector<std::exception_ptr> *errors = nullptr;
-        /** Claim order: submission indices, costliest first. */
+        /** Claim order: the submission indices to simulate. */
         const std::vector<std::size_t> *order = nullptr;
         std::atomic<std::size_t> next{0};
         std::size_t completed = 0; //!< guarded by mu_
@@ -145,6 +169,8 @@ class SweepRunner
 
     void workerLoop();
     void runPoint(Batch &batch, std::size_t index) const;
+    void journal(std::size_t index, const SystemConfig &cfg,
+                 const RunResult &result) const;
     void drain(Batch &batch);
 
     SweepOptions opts_;
@@ -157,6 +183,14 @@ class SweepRunner
     std::uint64_t generation_ = 0;
     bool stop_ = false;
     std::vector<std::thread> workers_;
+
+    /**
+     * Result of every point simulated so far, by identity, in the
+     * journal's bit-exact codec, which takes about a quarter of a
+     * RunResult's heap. Touched only by the thread inside run().
+     */
+    std::unordered_map<std::string, std::vector<std::uint8_t>> memo_;
+    std::size_t simulated_ = 0;
 };
 
 /**

@@ -78,8 +78,15 @@ configKey(const SystemConfig &cfg)
                fmt("%.17g", policy.divergenceGrowth);
     }
     key += " seed=" + std::to_string(cfg.sim.seed);
-    if (cfg.trace != nullptr)
-        key += " trace_records=" + std::to_string(cfg.trace->size());
+    if (cfg.trace != nullptr) {
+        // Two traces of one length are different runs, so the key
+        // names the records themselves by their hash.
+        char hash[24];
+        std::snprintf(hash, sizeof(hash), "0x%016llx",
+                      static_cast<unsigned long long>(cfg.trace->hash()));
+        key += " trace_records=" + std::to_string(cfg.trace->size()) +
+               " trace_hash=" + hash;
+    }
     if (!cfg.faultPlan.empty()) {
         // A fault schedule changes what a run simulates, so it is
         // part of the result's identity. Appended only when present:

@@ -115,6 +115,19 @@ Trace::maxNode() const
     return max_node;
 }
 
+std::uint64_t
+Trace::hash() const
+{
+    CkptWriter w;
+    for (const TraceRecord &rec : records_) {
+        w.u64(rec.cycle);
+        w.i32(rec.pm);
+        w.i32(rec.target);
+        w.boolean(rec.isRead);
+    }
+    return ckptFnv1a(w.data().data(), w.size());
+}
+
 // ------------------------------------------------------------------ //
 // TraceProcessor
 

@@ -95,6 +95,10 @@ class Trace
     /** Largest PM or target id referenced, or -1 when empty. */
     NodeId maxNode() const;
 
+    /** FNV-1a 64-bit over the records' little-endian codec bytes:
+     *  the trace's identity in configKey(). */
+    std::uint64_t hash() const;
+
   private:
     std::vector<TraceRecord> records_;
 };

@@ -471,6 +471,46 @@ TEST(CheckpointMismatch, FaultPlaneMismatchRefused)
     EXPECT_THROW(restored.run(), CheckpointError);
 }
 
+TEST(CheckpointMismatch, SameLengthTraceMismatchRefused)
+{
+    const Trace recorded =
+        Trace::synthesizeUniform(8, 3000, 0.03, 0.7, 11);
+    std::vector<TraceRecord> records = recorded.records();
+    records.back().isRead = !records.back().isRead;
+    const Trace edited(records);
+    const Trace copy(recorded.records());
+    ASSERT_EQ(recorded.size(), edited.size());
+
+    SystemConfig cfg = SystemConfig::ring("2:4", 32);
+    cfg.sim = shortSim();
+    const std::string untraced = configKey(cfg);
+    SystemConfig replay = cfg;
+    replay.trace = &recorded;
+    SystemConfig other = cfg;
+    other.trace = &edited;
+    SystemConfig same = cfg;
+    same.trace = &copy;
+    // The records, not the length or the object, name the trace.
+    EXPECT_NE(configKey(replay), configKey(other));
+    EXPECT_EQ(configKey(replay), configKey(same));
+    EXPECT_EQ(configKey(replay).rfind(untraced, 0), 0u);
+
+    TempCkpt file("trace_mismatch");
+    SystemConfig donor_cfg = replay;
+    donor_cfg.ckpt.savePath = file.path();
+    donor_cfg.ckpt.saveAt = 1000;
+    donor_cfg.ckpt.stopAfterSave = true;
+    System donor(donor_cfg);
+    donor.run();
+
+    other.ckpt.restorePath = file.path();
+    System refused(other);
+    EXPECT_THROW(refused.run(), CheckpointError);
+    same.ckpt.restorePath = file.path();
+    System restored(same);
+    EXPECT_NO_THROW(restored.run());
+}
+
 TEST(CheckpointMismatch, SlottedRingRefusesCheckpointing)
 {
     SystemConfig cfg = SystemConfig::ring("2:4", 64);
