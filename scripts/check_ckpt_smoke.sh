@@ -8,7 +8,9 @@
 # provenance field, which must appear in the resumed artifact and
 # must NOT appear in the control — cold-start artifacts keep the
 # exact v1 byte layout). A restore under a different config must be
-# refused with exit code 3 and a message naming both config keys.
+# refused with exit code 3 and a message naming both config keys. A
+# save on the slotted ring (no checkpoint support) must be refused
+# with exit code 3 and leave no file behind.
 #
 # Usage: scripts/check_ckpt_smoke.sh HRSIM_CLI METRICS_CHECK \
 #            SCHEMA [OUTDIR]
@@ -28,6 +30,7 @@ ckpt="$outdir/ckpt_smoke.ckpt"
 control="$outdir/ckpt_smoke_control.json"
 resumed="$outdir/ckpt_smoke_resumed.json"
 mismatch_err="$outdir/ckpt_smoke_mismatch.err"
+slotted_ckpt="$outdir/ckpt_smoke_slotted.ckpt"
 
 # One config, three runs: control (uninterrupted), donor (stops right
 # after its cycle-4000 snapshot), resume (fresh process, finishes).
@@ -87,5 +90,18 @@ if ! grep -q 'config mismatch' "$mismatch_err" ||
     exit 1
 fi
 
+rm -f "$slotted_ckpt"
+rc=0
+"$cli" --ring 2:4 --slotted --save-to "$slotted_ckpt" --save-at 100 \
+    >/dev/null 2>&1 || rc=$?
+if [[ $rc -ne 3 ]]; then
+    echo "ckpt smoke: slotted-ring save exited $rc, want 3" >&2
+    exit 1
+fi
+if [[ -e "$slotted_ckpt" ]]; then
+    echo "ckpt smoke: a refused slotted-ring save left a file" >&2
+    exit 1
+fi
+
 echo "ckpt smoke ok: cross-process restore is byte-identical," \
-     "provenance recorded, mismatch refused (exit 3)"
+     "provenance recorded, mismatch and slotted save refused (exit 3)"

@@ -8,7 +8,10 @@
 # control run without a plan must not register any fault.* / drop.* /
 # retry.* metric at all (the mode-gated metric convention that keeps
 # fault-free artifacts byte-identical to a tree without the
-# subsystem).
+# subsystem). --slotted is ignored for meshes, so a mesh fault plan
+# must run with it; on a ring it selects the slotted network, which
+# has no fault support and must refuse the plan (exit 1) naming the
+# target.
 #
 # Usage: scripts/check_fault_smoke.sh HRSIM_CLI METRICS_CHECK \
 #            SCHEMA [OUTDIR]
@@ -27,6 +30,7 @@ outdir=${4:-.}
 fault_out="$outdir/fault_smoke.json"
 plain_out="$outdir/fault_smoke_plain.json"
 plan_file="$outdir/fault_smoke.plan"
+slotted_err="$outdir/fault_smoke_slotted.err"
 
 cat > "$plan_file" <<'PLAN'
 # fault_smoke: one NIC outage inside the measured window
@@ -90,3 +94,20 @@ for name in metrics(sys.argv[2]):
 print(f"fault smoke ok: drop.worms = {drops:.0f}, "
       f"retry.reissued = {reissues:.0f}")
 PY
+
+if ! "$cli" --mesh 4 --slotted --fault "mesh.r5.north:down@100..200" \
+    >/dev/null; then
+    echo "fault smoke: a mesh fault plan with --slotted must run" >&2
+    exit 1
+fi
+
+rc=0
+"$cli" --ring 2:4 --slotted --fault ring.nic1:down@1..2 \
+    >/dev/null 2>"$slotted_err" || rc=$?
+if [[ $rc -ne 1 ]] || ! grep -q 'ring.nic1' "$slotted_err"; then
+    echo "fault smoke: a slotted-ring fault plan exited $rc, want 1" \
+         "with an error naming ring.nic1:" >&2
+    cat "$slotted_err" >&2
+    exit 1
+fi
+echo "fault smoke ok: mesh ignores --slotted, slotted ring refuses"

@@ -7,6 +7,7 @@
 #include "common/log.hh"
 #include "mesh/mesh_network.hh"
 #include "obs/manifest.hh"
+#include "ring/ring_network.hh"
 #include "ring/slotted_network.hh"
 #include "workload/region.hh"
 
@@ -44,6 +45,34 @@ SystemConfig::mesh(int width, std::uint32_t cache_line_bytes,
     return cfg;
 }
 
+std::unique_ptr<Network>
+makeNetwork(const SystemConfig &cfg)
+{
+    if (cfg.kind == NetworkKind::Mesh) {
+        MeshNetwork::Params params;
+        params.width = cfg.meshWidth;
+        params.cacheLineBytes = cfg.cacheLineBytes;
+        params.bufferFlits = cfg.meshBufferFlits;
+        params.roundRobinArbitration = cfg.meshRoundRobin;
+        return std::make_unique<MeshNetwork>(params);
+    }
+    if (cfg.ringSlotted) {
+        SlottedRingNetwork::Params params;
+        params.topo = cfg.ringTopo;
+        params.cacheLineBytes = cfg.cacheLineBytes;
+        params.globalRingSpeed = cfg.globalRingSpeed;
+        return std::make_unique<SlottedRingNetwork>(params);
+    }
+    RingNetwork::Params params;
+    params.topo = cfg.ringTopo;
+    params.cacheLineBytes = cfg.cacheLineBytes;
+    params.globalRingSpeed = cfg.globalRingSpeed;
+    params.nicBypass = cfg.ringBypass;
+    params.iriWaitLimit = cfg.ringIriWaitLimit;
+    params.iriQueuePackets = cfg.ringIriQueuePackets;
+    return std::make_unique<RingNetwork>(params);
+}
+
 StopPolicy
 resolveStopPolicy(const SimConfig &sim)
 {
@@ -62,22 +91,20 @@ resolveStopPolicy(const SimConfig &sim)
 
 System::System(const SystemConfig &cfg)
     : cfg_(cfg), stopPolicy_(resolveStopPolicy(cfg.sim)),
+      network_(makeNetwork(cfg)),
+      factory_(std::make_unique<PacketFactory>(
+          cfg.kind == NetworkKind::Mesh ? ChannelSpec::mesh()
+                                        : ChannelSpec::ring(),
+          cfg.cacheLineBytes)),
       latency_(stopPolicy_.enabled()
                    ? BatchMeans::adaptive(stopPolicy_.batchCycles)
                    : BatchMeans(cfg.sim.warmupCycles,
                                 cfg.sim.batchCycles,
                                 cfg.sim.numBatches))
 {
-    buildNetwork();
     buildWorkload();
 
     if (!cfg_.faultPlan.empty()) {
-        if (cfg_.kind == NetworkKind::HierarchicalRing &&
-            cfg_.ringSlotted) {
-            fatal("System: fault injection is not supported with the "
-                  "slotted ring (no worm-drain path); use the "
-                  "wormhole ring or the mesh");
-        }
         // Validates every target against the topology and shares the
         // conservation ledger with the network.
         faults_ = std::make_unique<FaultController>(cfg_.faultPlan,
@@ -124,41 +151,6 @@ System::System(const SystemConfig &cfg)
 }
 
 System::~System() = default;
-
-void
-System::buildNetwork()
-{
-    if (cfg_.kind == NetworkKind::HierarchicalRing &&
-        cfg_.ringSlotted) {
-        SlottedRingNetwork::Params params;
-        params.topo = cfg_.ringTopo;
-        params.cacheLineBytes = cfg_.cacheLineBytes;
-        params.globalRingSpeed = cfg_.globalRingSpeed;
-        network_ = std::make_unique<SlottedRingNetwork>(params);
-        factory_ = std::make_unique<PacketFactory>(
-            ChannelSpec::ring(), cfg_.cacheLineBytes);
-    } else if (cfg_.kind == NetworkKind::HierarchicalRing) {
-        RingNetwork::Params params;
-        params.topo = cfg_.ringTopo;
-        params.cacheLineBytes = cfg_.cacheLineBytes;
-        params.globalRingSpeed = cfg_.globalRingSpeed;
-        params.nicBypass = cfg_.ringBypass;
-        params.iriWaitLimit = cfg_.ringIriWaitLimit;
-        params.iriQueuePackets = cfg_.ringIriQueuePackets;
-        network_ = std::make_unique<RingNetwork>(params);
-        factory_ = std::make_unique<PacketFactory>(
-            ChannelSpec::ring(), cfg_.cacheLineBytes);
-    } else {
-        MeshNetwork::Params params;
-        params.width = cfg_.meshWidth;
-        params.cacheLineBytes = cfg_.cacheLineBytes;
-        params.bufferFlits = cfg_.meshBufferFlits;
-        params.roundRobinArbitration = cfg_.meshRoundRobin;
-        network_ = std::make_unique<MeshNetwork>(params);
-        factory_ = std::make_unique<PacketFactory>(
-            ChannelSpec::mesh(), cfg_.cacheLineBytes);
-    }
-}
 
 void
 System::buildWorkload()
@@ -633,18 +625,9 @@ System::finishResult(RunResult &result, Cycle end,
     result.counters = counters_;
     result.cycles = end;
     result.networkUtilization = util.totalUtilization();
-    if (cfg_.kind == NetworkKind::HierarchicalRing &&
-        cfg_.ringSlotted) {
-        auto &ring = static_cast<SlottedRingNetwork &>(*network_);
-        for (int level = 0; level < ring.numLevels(); ++level)
-            result.ringLevelUtilization.push_back(
-                ring.levelUtilization(level));
-    } else if (cfg_.kind == NetworkKind::HierarchicalRing) {
-        auto &ring = static_cast<RingNetwork &>(*network_);
-        for (int level = 0; level < ring.numLevels(); ++level)
-            result.ringLevelUtilization.push_back(
-                ring.levelUtilization(level));
-    }
+    for (int level = 0; level < network_->numLevels(); ++level)
+        result.ringLevelUtilization.push_back(
+            network_->levelUtilization(level));
     result.throughputPerPm =
         static_cast<double>(result.samples) /
         (static_cast<double>(std::max<Cycle>(measured_cycles, 1)) *
@@ -678,16 +661,12 @@ stripSeedField(const std::string &key)
 void
 System::saveCheckpoint(const std::string &path) const
 {
-    if (!network_->checkpointSupported()) {
-        throw CheckpointError(
-            "checkpoint: this network does not support checkpointing "
-            "(slotted ring)");
-    }
-
     // Payload layout (DESIGN.md section 16): simulation-core scalars,
     // measurement machinery, scheduler bookkeeping, workload
     // components, fault state, then the network. The order is frozen
-    // by ckptSchemaVersion — extend only by bumping it.
+    // by ckptSchemaVersion — extend only by bumping it. Everything is
+    // encoded in memory before writeCheckpointFile(), so a network
+    // that refuses to save (Network::saveState) leaves no file.
     CkptWriter w;
     w.u64(now_);
     w.u64(lastProgress_);
@@ -750,12 +729,6 @@ System::saveCheckpoint(const std::string &path) const
 void
 System::restoreCheckpoint(const std::string &path)
 {
-    if (!network_->checkpointSupported()) {
-        throw CheckpointError(
-            "checkpoint: this network does not support checkpointing "
-            "(slotted ring)");
-    }
-
     std::vector<std::uint8_t> payload;
     const CheckpointHeader header = openCheckpointFile(path, payload);
 

@@ -28,7 +28,7 @@
 #include "fault/fault_plan.hh"
 #include "obs/metric_registry.hh"
 #include "proto/packet_factory.hh"
-#include "ring/ring_network.hh"
+#include "ring/topology.hh"
 #include "sim/network.hh"
 #include "stats/batch_means.hh"
 #include "stats/histogram.hh"
@@ -168,8 +168,9 @@ struct SystemConfig
      * default — allocates no fault state anywhere and keeps every
      * artifact byte-identical to a fault-free build; a non-empty plan
      * arms the FaultController, the processors' retry engine and the
-     * fault.* / drop.* / retry.* metrics. Not supported with
-     * ringSlotted (the slotted data path has no worm-drain story).
+     * fault.* / drop.* / retry.* metrics. A network without fault
+     * support (the slotted ring) rejects every target at System
+     * construction, through Network::faultTargetValid().
      */
     FaultPlan faultPlan;
 
@@ -192,6 +193,13 @@ struct SystemConfig
     static SystemConfig mesh(int width, std::uint32_t cache_line_bytes,
                              std::uint32_t buffer_flits);
 };
+
+/**
+ * Build the network @a cfg describes: the mesh, the slotted ring or
+ * the wormhole ring. System builds its network here, and nothing
+ * else in src/core names a concrete network class.
+ */
+std::unique_ptr<Network> makeNetwork(const SystemConfig &cfg);
 
 /** Metrics of one simulation run. */
 struct RunResult
@@ -290,8 +298,10 @@ class System
      * nothing, so a run that saves is bit-identical to one that does
      * not. Must be called at a tick boundary (between tickOnce()
      * calls) — mid-cycle staged state has no on-disk representation.
-     * Throws CheckpointError on I/O failure or an unsupported network
-     * (the slotted ring).
+     * Throws CheckpointError on I/O failure or when the network
+     * refuses to save (Network::saveState; the slotted ring). The
+     * network is encoded last, in memory, so a refused save writes
+     * no file.
      */
     void saveCheckpoint(const std::string &path) const;
 
@@ -311,7 +321,6 @@ class System
     bool restored() const { return restored_; }
 
   private:
-    void buildNetwork();
     void buildWorkload();
     void registerSystemMetrics();
     void tickOnce();

@@ -15,7 +15,8 @@ FaultController::FaultController(const FaultPlan &plan, Network &net)
     for (const FaultEvent &event : plan_.events) {
         if (!net_.faultTargetValid(event.target)) {
             fatal("fault plan names '" + event.target.canonical() +
-                  "', which this network does not have");
+                  "', which this network does not have (or the "
+                  "network has no fault support)");
         }
     }
     edges_.reserve(plan_.events.size() * 2);

@@ -235,6 +235,7 @@ MeshNetwork::networkUtilization() const
 void
 MeshNetwork::registerMetrics(MetricRegistry &registry) const
 {
+    Network::registerMetrics(registry);
     registry.addGauge("mesh.util",
                       [this]() { return networkUtilization(); });
     if (activeSched_) {

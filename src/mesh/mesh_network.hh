@@ -44,11 +44,6 @@ class MeshNetwork : public Network
     bool canInject(NodeId pm, const Packet &pkt) const override;
     void inject(NodeId pm, const Packet &pkt) override;
     void tick(Cycle now) override;
-    UtilizationTracker &utilization() override { return util_; }
-    const UtilizationTracker &utilization() const override
-    {
-        return util_;
-    }
     std::uint64_t flitsInFlight() const override;
     void registerMetrics(MetricRegistry &registry) const override;
     void setActiveScheduling(bool enabled) override;
@@ -67,7 +62,6 @@ class MeshNetwork : public Network
      * snapshot carries the explicit member list, the per-router flag
      * pairs, and the sweep phase counter.
      */
-    bool checkpointSupported() const override { return true; }
     void saveState(CkptWriter &w) const override;
     void loadState(CkptReader &r) override;
 
@@ -104,7 +98,6 @@ class MeshNetwork : public Network
     /** e-cube routing LUT, P*P entries: row r holds router r's output
      * port for every destination. Built from routeOfCoordinate(). */
     std::vector<std::uint8_t> routeLut_;
-    UtilizationTracker util_;
     UtilizationTracker::GroupId meshGroup_;
 
     // Production-engine state (setActiveScheduling). Router

@@ -45,11 +45,7 @@ RingNetwork::RingNetwork(const Params &params)
     }
 
     // Utilization groups, one per hierarchy level.
-    levelGroups_.resize(static_cast<std::size_t>(structure_.numLevels));
-    for (int level = 0; level < structure_.numLevels; ++level) {
-        levelGroups_[static_cast<std::size_t>(level)] =
-            util_.group("ring level " + std::to_string(level));
-    }
+    addLevelGroups(structure_.numLevels);
 
     // NIC deliveries funnel into the network's registered handler
     // (which the system installs after construction).
@@ -122,9 +118,7 @@ RingNetwork::RingNetwork(const Params &params)
                                                         : &iriMask_;
             const auto wake_id =
                 static_cast<std::uint32_t>(to_slot.index);
-            const auto link = util_.addLink(
-                levelGroups_[static_cast<std::size_t>(ring.level)],
-                speed);
+            const auto link = util_.addLink(levelGroup(ring.level), speed);
             // The anti-starvation valve only serves the inter-ring
             // queues: PM injection starving behind transit traffic
             // is the paper's own self-throttling behaviour and must
@@ -423,22 +417,10 @@ RingNetwork::flitsInFlight() const
     return count;
 }
 
-double
-RingNetwork::levelUtilization(int level) const
-{
-    HRSIM_ASSERT(level >= 0 && level < structure_.numLevels);
-    return util_.groupUtilization(
-        levelGroups_[static_cast<std::size_t>(level)]);
-}
-
 void
 RingNetwork::registerMetrics(MetricRegistry &registry) const
 {
-    for (int level = 0; level < structure_.numLevels; ++level) {
-        registry.addGauge(
-            "ring.l" + std::to_string(level) + ".util",
-            [this, level]() { return levelUtilization(level); });
-    }
+    Network::registerMetrics(registry);
     if (activeSched_) {
         // Registered only on the production engine (the sched.*
         // convention), so reference-engine artifacts carry no

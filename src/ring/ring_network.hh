@@ -71,11 +71,6 @@ class RingNetwork : public Network
     bool canInject(NodeId pm, const Packet &pkt) const override;
     void inject(NodeId pm, const Packet &pkt) override;
     void tick(Cycle now) override;
-    UtilizationTracker &utilization() override { return util_; }
-    const UtilizationTracker &utilization() const override
-    {
-        return util_;
-    }
     std::uint64_t flitsInFlight() const override;
     void registerMetrics(MetricRegistry &registry) const override;
     void setActiveScheduling(bool enabled) override;
@@ -94,15 +89,8 @@ class RingNetwork : public Network
      * setActiveScheduling() runs, which also reseeds NIC acceptance
      * and rest state exactly as an uninterrupted run would hold them.
      */
-    bool checkpointSupported() const override { return true; }
     void saveState(CkptWriter &w) const override;
     void loadState(CkptReader &r) override;
-
-    /** Utilization of the rings at a hierarchy level (0 = global). */
-    double levelUtilization(int level) const;
-
-    /** Number of hierarchy levels. */
-    int numLevels() const { return structure_.numLevels; }
 
     const RingStructure &structure() const { return structure_; }
     const Params &params() const { return params_; }
@@ -149,9 +137,6 @@ class RingNetwork : public Network
     StablePool<RingIri> iris_;
     /** One occupancy record per ring (bubble flow control). */
     std::vector<RingOccupancy> occupancy_;
-
-    UtilizationTracker util_;
-    std::vector<UtilizationTracker::GroupId> levelGroups_;
 
     /** IRIs whose upper side belongs to the fast (global) domain. */
     std::vector<RingIri *> fastIris_;

@@ -399,11 +399,7 @@ SlottedRingNetwork::SlottedRingNetwork(const Params &params)
             &occupancy_[static_cast<std::size_t>(desc.parentRing)];
     }
 
-    levelGroups_.resize(static_cast<std::size_t>(structure_.numLevels));
-    for (int level = 0; level < structure_.numLevels; ++level) {
-        levelGroups_[static_cast<std::size_t>(level)] =
-            util_.group("ring level " + std::to_string(level));
-    }
+    addLevelGroups(structure_.numLevels);
 
     // Active-mask bookkeeping: one combined component index space,
     // NICs first, then IRIs. Wake wiring is installed unconditionally
@@ -436,8 +432,7 @@ SlottedRingNetwork::SlottedRingNetwork(const Params &params)
                     ? to_slot.index
                     : num_pms + to_slot.index);
             const auto link = util_.addLink(
-                levelGroups_[static_cast<std::size_t>(ring.level)],
-                is_root ? params_.globalRingSpeed : 1);
+                levelGroup(ring.level), is_root ? params_.globalRingSpeed : 1);
 
             Hop hop;
             hop.index = slot.index;
@@ -662,22 +657,10 @@ SlottedRingNetwork::flitsInFlight() const
     return count;
 }
 
-double
-SlottedRingNetwork::levelUtilization(int level) const
-{
-    HRSIM_ASSERT(level >= 0 && level < structure_.numLevels);
-    return util_.groupUtilization(
-        levelGroups_[static_cast<std::size_t>(level)]);
-}
-
 void
 SlottedRingNetwork::registerMetrics(MetricRegistry &registry) const
 {
-    for (int level = 0; level < structure_.numLevels; ++level) {
-        registry.addGauge(
-            "ring.l" + std::to_string(level) + ".util",
-            [this, level]() { return levelUtilization(level); });
-    }
+    Network::registerMetrics(registry);
     for (std::size_t i = 0; i < iris_.size(); ++i) {
         const int level =
             structure_

@@ -196,19 +196,11 @@ class SlottedRingNetwork : public Network
     bool canInject(NodeId pm, const Packet &pkt) const override;
     void inject(NodeId pm, const Packet &pkt) override;
     void tick(Cycle now) override;
-    UtilizationTracker &utilization() override { return util_; }
-    const UtilizationTracker &utilization() const override
-    {
-        return util_;
-    }
     std::uint64_t flitsInFlight() const override;
     void registerMetrics(MetricRegistry &registry) const override;
     void setActiveScheduling(bool enabled) override;
     bool isIdle() const override;
     std::size_t activeNodeCount() const override;
-
-    double levelUtilization(int level) const;
-    int numLevels() const { return structure_.numLevels; }
 
     /** Total another-lap retries across all IRIs. */
     std::uint64_t totalRetries() const;
@@ -240,9 +232,6 @@ class SlottedRingNetwork : public Network
     /** One occupancy record per ring (one slot reserved for
      * down-phase cells on multi-level systems). */
     std::vector<RingOccupancy> occupancy_;
-
-    UtilizationTracker util_;
-    std::vector<UtilizationTracker::GroupId> levelGroups_;
 
     /** Evaluation schedule: slow hops, then fast (global) hops. */
     std::vector<Hop> slowHops_;

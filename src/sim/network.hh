@@ -2,11 +2,23 @@
  * @file
  * Abstract interconnection-network interface.
  *
- * Both the hierarchical ring network and the 2D mesh implement this
- * interface. A network is ticked once per system clock cycle with a
- * two-phase (evaluate, then commit) discipline internally, accepts
- * packet injections from processing modules, and delivers packets to
- * the registered handler when the tail flit reaches its destination.
+ * The wormhole hierarchical ring, the slotted hierarchical ring and
+ * the 2D mesh implement this interface. A network is ticked once per
+ * system clock cycle with a two-phase (evaluate, then commit)
+ * discipline internally, accepts packet injections from processing
+ * modules, and delivers packets to the registered handler when the
+ * tail flit reaches its destination.
+ *
+ * Every network provides, through this base:
+ *  - link-utilization accounting (utilization()) and, for ring
+ *    hierarchies, per-level utilization (numLevels(),
+ *    levelUtilization(); a mesh has no levels) with its
+ *    ring.l<N>.util gauges;
+ *  - fault injection (faultTargetValid(), applyFault()) and
+ *    checkpointing (saveState(), loadState()), whose defaults refuse.
+ *    The slotted ring relies on both defaults: its cells have no
+ *    worm-drain path, so it rejects every fault target and every
+ *    save or restore here, and nowhere else.
  *
  * Observability: a network publishes its component counters and
  * gauges into a MetricRegistry (registerMetrics()) and accepts an
@@ -18,18 +30,21 @@
 #define HRSIM_SIM_NETWORK_HH
 
 #include <functional>
+#include <string>
+#include <vector>
 
 #include "ckpt/checkpointable.hh"
+#include "ckpt/codec.hh"
 #include "common/log.hh"
 #include "common/types.hh"
 #include "obs/flit_trace.hh"
+#include "obs/metric_registry.hh"
 #include "proto/packet.hh"
 #include "stats/utilization.hh"
 
 namespace hrsim
 {
 
-class MetricRegistry;
 struct FaultAccounting;
 struct FaultEvent;
 struct FaultTarget;
@@ -64,8 +79,24 @@ class Network : public Checkpointable
     }
 
     /** Link-utilization accounting for this network. */
-    virtual UtilizationTracker &utilization() = 0;
-    virtual const UtilizationTracker &utilization() const = 0;
+    UtilizationTracker &utilization() { return util_; }
+    const UtilizationTracker &utilization() const { return util_; }
+
+    /** Ring hierarchy levels (0 for a network without levels). */
+    int
+    numLevels() const
+    {
+        return static_cast<int>(levelGroups_.size());
+    }
+
+    /** Utilization of the rings at hierarchy @a level (0 = global). */
+    double
+    levelUtilization(int level) const
+    {
+        HRSIM_ASSERT(level >= 0 && level < numLevels());
+        return util_.groupUtilization(
+            levelGroups_[static_cast<std::size_t>(level)]);
+    }
 
     /** Total flits currently buffered inside the network. */
     virtual std::uint64_t flitsInFlight() const = 0;
@@ -105,12 +136,17 @@ class Network : public Checkpointable
      * Register this network's counters and gauges under stable
      * hierarchical names (e.g. "ring.l1.iri3.wait_cycles"). Samplers
      * capture `this`; the network must outlive registry snapshots.
-     * The default registers nothing (for minimal test networks).
+     * The base registers one ring.l<N>.util gauge per level;
+     * overrides call it first.
      */
     virtual void
     registerMetrics(MetricRegistry &registry) const
     {
-        (void)registry;
+        for (int level = 0; level < numLevels(); ++level) {
+            registry.addGauge(
+                "ring.l" + std::to_string(level) + ".util",
+                [this, level]() { return levelUtilization(level); });
+        }
     }
 
     /**
@@ -159,31 +195,41 @@ class Network : public Checkpointable
     FlitTracer *tracer() const { return tracer_; }
 
     /**
-     * True when this network implements the Checkpointable hooks.
-     * The slotted ring does not (no worm-drain story — the same
-     * reason it rejects fault plans); System::saveCheckpoint refuses
-     * up front instead of dying inside saveState().
-     */
-    virtual bool checkpointSupported() const { return false; }
-
-    /**
-     * Checkpointable defaults for networks without support; concrete
-     * networks with checkpointSupported() == true override both.
-     * Unreachable through System, which gates on the flag above.
+     * Checkpointable defaults for networks without support (the
+     * slotted ring): both refuse with CheckpointError, which
+     * System::saveCheckpoint raises before any file is written.
      */
     void saveState(CkptWriter &w) const override
     {
         (void)w;
-        fatal("this network does not support checkpointing");
+        throw CheckpointError(
+            "checkpoint: this network does not support checkpointing");
     }
 
     void loadState(CkptReader &r) override
     {
         (void)r;
-        fatal("this network does not support checkpointing");
+        throw CheckpointError(
+            "checkpoint: this network does not support checkpointing");
     }
 
   protected:
+    /** Create the "ring level N" utilization groups, N < @a levels. */
+    void
+    addLevelGroups(int levels)
+    {
+        for (int level = 0; level < levels; ++level)
+            levelGroups_.push_back(
+                util_.group("ring level " + std::to_string(level)));
+    }
+
+    /** The utilization group of hierarchy @a level. */
+    UtilizationTracker::GroupId
+    levelGroup(int level) const
+    {
+        return levelGroups_[static_cast<std::size_t>(level)];
+    }
+
     /** Deliver @a pkt to the attached PM at cycle @a now. */
     void
     delivered(const Packet &pkt, Cycle now) const
@@ -201,7 +247,10 @@ class Network : public Checkpointable
      */
     FlitTracer *tracer_ = nullptr;
 
+    UtilizationTracker util_;
+
   private:
+    std::vector<UtilizationTracker::GroupId> levelGroups_;
     DeliveryHandler deliver_;
 };
 

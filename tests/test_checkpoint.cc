@@ -520,6 +520,29 @@ TEST(CheckpointMismatch, SlottedRingRefusesCheckpointing)
     System system(cfg);
     EXPECT_THROW(system.saveCheckpoint(file.path()),
                  CheckpointError);
+    // The network is encoded last, in memory: nothing reaches disk.
+    EXPECT_FALSE(std::filesystem::exists(file.path()));
+
+    // A wormhole twin's snapshot cannot restore into the slotted
+    // config either: the config-key check refuses it.
+    SystemConfig twin = cfg;
+    twin.ringSlotted = false;
+    twin.ckpt.savePath = file.path();
+    twin.ckpt.saveAt = 1000;
+    twin.ckpt.stopAfterSave = true;
+    System donor(twin);
+    donor.run();
+    ASSERT_TRUE(std::filesystem::exists(file.path()));
+    cfg.ckpt.restorePath = file.path();
+    System slotted(cfg);
+    try {
+        slotted.run();
+        FAIL() << "restoring into the slotted config must throw";
+    } catch (const CheckpointError &err) {
+        const std::string what = err.what();
+        EXPECT_NE(what.find("switch=slotted"), std::string::npos)
+            << what;
+    }
 }
 
 TEST(CheckpointMismatch, CorruptFileRefused)

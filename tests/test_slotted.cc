@@ -216,7 +216,9 @@ TEST(Slotted, LevelUtilizationReported)
     cfg.sim.warmupCycles = 1000;
     cfg.sim.batchCycles = 1000;
     cfg.sim.numBatches = 2;
-    const RunResult result = runSystem(cfg);
+    System system(cfg);
+    EXPECT_EQ(system.network().numLevels(), 3);
+    const RunResult result = system.run();
     ASSERT_EQ(result.ringLevelUtilization.size(), 3u);
     for (const double u : result.ringLevelUtilization) {
         EXPECT_GE(u, 0.0);

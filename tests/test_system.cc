@@ -120,7 +120,9 @@ TEST(System, RingLevelUtilizationReported)
 {
     SystemConfig cfg = SystemConfig::ring("2:2:2", 32);
     cfg.sim = shortSim();
-    const RunResult result = runSystem(cfg);
+    System system(cfg);
+    EXPECT_EQ(system.network().numLevels(), 3);
+    const RunResult result = system.run();
     ASSERT_EQ(result.ringLevelUtilization.size(), 3u);
     for (const double u : result.ringLevelUtilization) {
         EXPECT_GE(u, 0.0);
@@ -132,7 +134,9 @@ TEST(System, MeshHasNoRingLevels)
 {
     SystemConfig cfg = SystemConfig::mesh(2, 32, 4);
     cfg.sim = shortSim();
-    const RunResult result = runSystem(cfg);
+    System system(cfg);
+    EXPECT_EQ(system.network().numLevels(), 0);
+    const RunResult result = system.run();
     EXPECT_TRUE(result.ringLevelUtilization.empty());
 }
 

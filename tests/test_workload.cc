@@ -44,12 +44,6 @@ class FakeNetwork : public Network
 
     void tick(Cycle) override {}
 
-    UtilizationTracker &utilization() override { return util_; }
-    const UtilizationTracker &utilization() const override
-    {
-        return util_;
-    }
-
     std::uint64_t flitsInFlight() const override { return 0; }
 
     bool allowInjection = true;
@@ -57,7 +51,6 @@ class FakeNetwork : public Network
 
   private:
     int pms_;
-    UtilizationTracker util_;
 };
 
 struct ProcessorFixture : public ::testing::Test

@@ -477,10 +477,6 @@ main(int argc, char **argv)
                          "have no effect without --fault or "
                          "--fault-plan\n");
         }
-        if (!cfg.faultPlan.empty() && cfg.ringSlotted) {
-            fatal("fault injection is not supported with --slotted; "
-                  "use the wormhole ring or the mesh");
-        }
         if (!cfg.faultPlan.empty() && cfg.sim.stop.enabled()) {
             // Legitimate but easy to misread: the stopping rule
             // converges on the latency of the transactions that DID
