@@ -4,8 +4,11 @@
  * cache-line size for the no-locality workload (R = 1.0, C = 0.04,
  * T = 4), regenerated by exhaustively simulating every ordered
  * factorization of the processor count into up to four levels. Each
- * cell's candidates run as one batch on the shared bench runner
- * (HRSIM_JOBS workers, default all cores; HRSIM_JOBS=1 is serial).
+ * cell's candidates run as one batch on a runner of its own
+ * (HRSIM_JOBS workers, default all cores; HRSIM_JOBS=1 is serial):
+ * no two cells share a candidate (P and the line size are part of
+ * every point), so a runner's point memo would only hold results
+ * that are never looked up again.
  *
  * Prints our measured winner next to the paper's entry. Exact
  * agreement is not required — near-optimal hierarchies often sit
@@ -17,6 +20,7 @@
 
 #include "bench_common.hh"
 #include "core/analysis.hh"
+#include "core/sweep.hh"
 #include "core/topology_search.hh"
 
 int
@@ -38,8 +42,10 @@ main()
     for (const int p : paperTable2Sizes()) {
         for (const int line : {16, 32, 64, 128}) {
             base.cacheLineBytes = static_cast<std::uint32_t>(line);
-            const auto ranked =
-                rankHierarchies(p, base, bench::benchRunner());
+            SweepOptions opts;
+            opts.jobs = bench::benchJobs();
+            SweepRunner runner(opts);
+            const auto ranked = rankHierarchies(p, base, runner);
             const auto paper = paperTable2Topology(p, line);
             const int paper_levels = static_cast<int>(
                 RingTopology::parse(*paper).numLevels());

@@ -110,4 +110,11 @@ if [[ $rc -ne 1 ]] || ! grep -q 'ring.nic1' "$slotted_err"; then
     cat "$slotted_err" >&2
     exit 1
 fi
+# The plan parsed; the network refused it. That is not a usage error,
+# so the one-line diagnostic must not sit under the usage text.
+if grep -q 'usage:' "$slotted_err"; then
+    echo "fault smoke: a refused fault plan printed the usage text:" >&2
+    cat "$slotted_err" >&2
+    exit 1
+fi
 echo "fault smoke ok: mesh ignores --slotted, slotted ring refuses"

@@ -19,9 +19,14 @@
 #ifndef HRSIM_CKPT_STATE_IO_HH
 #define HRSIM_CKPT_STATE_IO_HH
 
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
 #include "ckpt/codec.hh"
 #include "common/rng.hh"
 #include "proto/packet.hh"
+#include "proto/packet_table.hh"
 
 namespace hrsim
 {
@@ -156,6 +161,85 @@ loadFlitFifo(CkptReader &r, Fifo &fifo)
 {
     loadStagedFifo(r, fifo,
                    [](CkptReader &in) { return loadFlit(in); });
+}
+
+/**
+ * Save a queue of mesh flit handles as full flits, filled in from
+ * @a table, so the bytes match a queue of Flits exactly.
+ */
+template <typename Fifo>
+void
+saveHandleFifo(CkptWriter &w, const Fifo &fifo, const PacketTable &table)
+{
+    saveFifo(w, fifo, [&table](CkptWriter &out, const FlitHandle &h) {
+        saveFlit(out, table.flit(h));
+    });
+}
+
+/**
+ * Rebuilds a PacketTable from the full flits of a checkpoint: the
+ * first flit of a packet adds it, every flit counts one live flit, so
+ * the reloaded table matches the buffered flits exactly. Slots named
+ * only by packet id (a port's worm, whose remaining flits may sit in
+ * a router that loads later) resolve in finish().
+ */
+class PacketTableLoader
+{
+  public:
+    explicit PacketTableLoader(PacketTable &table) : table_(table)
+    {
+        table_.clear();
+    }
+
+    FlitHandle
+    handle(const Flit &flit)
+    {
+        auto [it, fresh] = slots_.try_emplace(flit.packet, 0u);
+        if (fresh)
+            it->second = table_.add(packetFromFlit(flit), 1);
+        else
+            table_.retain(it->second);
+        return {it->second, flit.dst, static_cast<std::uint16_t>(flit.index),
+                static_cast<std::uint8_t>(
+                    (flit.isTail() ? FlitHandle::Tail : 0) |
+                    (flit.poisoned ? FlitHandle::Poisoned : 0))};
+    }
+
+    /** Set @a *slot to packet @a id's slot in finish(). */
+    void defer(PacketId id, std::uint32_t *slot)
+    {
+        deferred_.emplace_back(id, slot);
+    }
+
+    /** Resolve the deferred slots, once every queue is loaded. */
+    void
+    finish()
+    {
+        for (const auto &[id, slot] : deferred_) {
+            const auto it = slots_.find(id);
+            if (it == slots_.end()) {
+                throw CheckpointError(
+                    "checkpoint: a port's worm has no buffered flit "
+                    "(corrupt snapshot)");
+            }
+            *slot = it->second;
+        }
+        deferred_.clear();
+    }
+
+  private:
+    PacketTable &table_;
+    std::unordered_map<PacketId, std::uint32_t> slots_;
+    std::vector<std::pair<PacketId, std::uint32_t *>> deferred_;
+};
+
+template <typename Fifo>
+void
+loadHandleFifo(CkptReader &r, Fifo &fifo, PacketTableLoader &loader)
+{
+    loadStagedFifo(r, fifo, [&loader](CkptReader &in) {
+        return loader.handle(loadFlit(in));
+    });
 }
 
 } // namespace hrsim

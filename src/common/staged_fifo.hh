@@ -219,11 +219,9 @@ class StagedFifo
     void
     commit()
     {
-        // Early-out keeps the common idle commit read-only: the
-        // per-cycle sweep commits every queue of every awake
-        // component, and most saw no traffic this cycle.
-        if ((staged_ | poppedThisCycle_) == 0)
-            return;
+        // Straight-line on purpose: a clean queue's commit stores the
+        // values it already holds. Testing for that first costs a
+        // data-dependent branch per queue that mispredicts at load.
         visible_ += staged_;
         visible_ -= poppedThisCycle_;
         staged_ = 0;
@@ -322,10 +320,8 @@ struct FifoState
     void
     commit()
     {
-        // Same read-only early-out as StagedFifo::commit(): most
-        // queues saw no traffic this cycle.
-        if ((staged | poppedThisCycle) == 0)
-            return;
+        // Branch-free like StagedFifo::commit(): the sweep commits
+        // every queue, and whether one saw traffic is unpredictable.
         visible += staged;
         visible -= poppedThisCycle;
         staged = 0;

@@ -31,8 +31,8 @@ MeshNetwork::MeshNetwork(const Params &params)
         MeshRouter &router = routers_.emplace_back(
             static_cast<NodeId>(id), params_.width, bufferFlits_,
             clFlits_, params_.roundRobinArbitration,
-            flitArena_.data() + id * arena_per, &fifoCol_[id * 6],
-            &flagsCol_[id]);
+            flitArena_.data() + id * arena_per, &packets_,
+            &fifoCol_[id * 6], &flagsCol_[id]);
         router.setDeliver([this](const Packet &pkt, Cycle when) {
             delivered(pkt, when);
         });
@@ -351,8 +351,10 @@ void
 MeshNetwork::loadState(CkptReader &r)
 {
     satTicks_ = r.u32();
+    PacketTableLoader loader(packets_);
     for (MeshRouter &router : routers_)
-        router.loadState(r);
+        router.loadState(r, loader);
+    loader.finish();
     const bool has_faults = r.boolean();
     if (has_faults != !faultState_.empty()) {
         throw CheckpointError(

@@ -79,13 +79,19 @@ class MeshNetwork : public Network
 
     MeshRouter &router(NodeId id);
 
+    /** In-flight packets: one live slot per packet with a buffered
+     *  flit (tests check that against the queues). */
+    const PacketTable &packets() const { return packets_; }
+
   private:
     Params params_;
     std::uint32_t clFlits_;
     std::uint32_t bufferFlits_;
     /** One flit-storage arena for every router queue, segmented per
      * router (declared before routers_, which point into it). */
-    std::vector<Flit> flitArena_;
+    std::vector<FlitHandle> flitArena_;
+    /** The packets whose flits the arena's handles stand for. */
+    PacketTable packets_;
     /** Six FifoState cursor blocks per router at [id * 6] (inputs
      * N/E/S/W, then outResp, then outReq) and one changed/poked flag
      * pair per router, both contiguous (see sim/columns.hh; declared

@@ -24,10 +24,11 @@ oppositePort(MeshPort port)
 
 MeshRouter::MeshRouter(NodeId id, int width, std::uint32_t buffer_flits,
                        std::uint32_t queue_flits, bool round_robin,
-                       Flit *storage, FifoState *states,
-                       RouterFlags *flags)
+                       FlitHandle *storage, PacketTable *packets,
+                       FifoState *states, RouterFlags *flags)
     : id_(id), width_(width), x_(id % width), y_(id / width),
-      roundRobin_(round_robin), hot_(flags), col_(states)
+      roundRobin_(round_robin), hot_(flags), col_(states),
+      packets_(packets)
 {
     HRSIM_ASSERT(buffer_flits >= 1);
     for (std::size_t p = 0; p < 4; ++p) {
@@ -83,7 +84,7 @@ MeshRouter::routeOfCoordinate(NodeId dst) const
     return PortLocal;
 }
 
-const Flit *
+const FlitHandle *
 MeshRouter::peekInput(int in) const
 {
     if (in != PortLocal) {
@@ -129,37 +130,23 @@ MeshRouter::evaluateLegacy(Cycle now)
 
     // 1. Collect output requests from unbound inputs with a routable
     //    head flit at their front.
-    std::array<std::uint8_t, NumMeshPorts> requests{};
+    std::array<PortMask, NumMeshPorts> requests{};
+    PortMask wanted = 0;
     for (int in = 0; in < NumMeshPorts; ++in) {
         if (inputBound_[static_cast<std::size_t>(in)] != -1)
             continue;
-        const Flit *head = peekInput(in);
+        const FlitHandle *head = peekInput(in);
         if (!head)
             continue;
         HRSIM_ASSERT(head->isHead());
         const MeshPort out = routeOfCoordinate(head->dst);
         requests[static_cast<std::size_t>(out)] |=
-            static_cast<std::uint8_t>(1u << in);
+            static_cast<PortMask>(1u << in);
+        wanted |= static_cast<PortMask>(1u << out);
     }
 
     // 2. Round-robin arbitration for each free output port.
-    for (int out = 0; out < NumMeshPorts; ++out) {
-        Output &port = out_[static_cast<std::size_t>(out)];
-        if (port.owner != -1 ||
-            requests[static_cast<std::size_t>(out)] == 0) {
-            continue;
-        }
-        const int base = roundRobin_ ? port.rrPtr : 0;
-        for (int step = 0; step < NumMeshPorts; ++step) {
-            const int in = (base + step) % NumMeshPorts;
-            if (!(requests[static_cast<std::size_t>(out)] &
-                  (1u << in))) {
-                continue;
-            }
-            grantOutput(out, in);
-            break;
-        }
-    }
+    grantRequests(requests, wanted);
 
     // 3. Switch traversal: one flit per owned output, flow-control
     //    permitting.
@@ -181,19 +168,22 @@ MeshRouter::evaluateFast(Cycle now)
     // loop would.
     //
     // The six cursor blocks are contiguous, so the whole visibility
-    // scan reads one or two cache lines off a single base pointer.
-    PortMask vis = 0;
-    for (int in = 0; in < PortLocal; ++in) {
-        if (col_[in].visible != 0)
-            vis |= static_cast<PortMask>(1u << in);
-    }
-    const bool local_vis =
-        localSrc_ == LocalSrc::Resp   ? col_[4].visible != 0
-        : localSrc_ == LocalSrc::Req ? col_[5].visible != 0
-                                     : (col_[4].visible |
-                                        col_[5].visible) != 0;
-    if (local_vis)
-        vis |= static_cast<PortMask>(1u << PortLocal);
+    // scan reads one or two cache lines off a single base pointer,
+    // and builds the mask with shifts instead of a branch per queue.
+    // The local port sees the queue its worm is bound to, or either
+    // queue at a packet boundary: bit 0 of the selector admits
+    // outResp_, bit 1 outReq_ (indexed by LocalSrc).
+    static constexpr std::array<unsigned, 3> localSel = {0b11, 0b01,
+                                                         0b10};
+    const unsigned queues = unsigned{col_[4].visible != 0} |
+                            unsigned{col_[5].visible != 0} << 1;
+    const unsigned local_vis =
+        (queues & localSel[static_cast<std::size_t>(localSrc_)]) != 0;
+    const auto vis = static_cast<PortMask>(
+        unsigned{col_[0].visible != 0} |
+        unsigned{col_[1].visible != 0} << 1 |
+        unsigned{col_[2].visible != 0} << 2 |
+        unsigned{col_[3].visible != 0} << 3 | local_vis << PortLocal);
     if (vis == 0)
         return;
 
@@ -204,31 +194,18 @@ MeshRouter::evaluateFast(Cycle now)
     //      round-robin state.
     const PortMask unbound = vis & static_cast<PortMask>(~boundMask_);
     if (unbound != 0) {
-        std::array<std::uint8_t, NumMeshPorts> requests{};
+        std::array<PortMask, NumMeshPorts> requests{};
+        PortMask wanted = 0;
         for (PortMask m = unbound; m != 0; m = dropLowestPort(m)) {
             const int in = lowestSetPort(m);
-            const Flit *head = peekInput(in);
+            const FlitHandle *head = peekInput(in);
             HRSIM_ASSERT(head != nullptr && head->isHead());
-            requests[static_cast<std::size_t>(routeOf(head->dst))] |=
-                static_cast<std::uint8_t>(1u << in);
+            const int out = routeOf(head->dst);
+            requests[static_cast<std::size_t>(out)] |=
+                static_cast<PortMask>(1u << in);
+            wanted |= static_cast<PortMask>(1u << out);
         }
-        for (int out = 0; out < NumMeshPorts; ++out) {
-            Output &port = out_[static_cast<std::size_t>(out)];
-            if (port.owner != -1 ||
-                requests[static_cast<std::size_t>(out)] == 0) {
-                continue;
-            }
-            const int base = roundRobin_ ? port.rrPtr : 0;
-            for (int step = 0; step < NumMeshPorts; ++step) {
-                const int in = (base + step) % NumMeshPorts;
-                if (!(requests[static_cast<std::size_t>(out)] &
-                      (1u << in))) {
-                    continue;
-                }
-                grantOutput(out, in);
-                break;
-            }
-        }
+        grantRequests(requests, wanted);
     }
 
     // 3. Worm streaming: owned outputs in ascending port order (the
@@ -239,13 +216,30 @@ MeshRouter::evaluateFast(Cycle now)
 }
 
 void
+MeshRouter::grantRequests(
+    const std::array<PortMask, NumMeshPorts> &requests, PortMask wanted)
+{
+    // Each input requests one output, so the grants are independent;
+    // ascending order still matches the reference port scan.
+    for (PortMask m = wanted & static_cast<PortMask>(~ownedMask_);
+         m != 0; m = dropLowestPort(m)) {
+        const int out = lowestSetPort(m);
+        const int base =
+            roundRobin_ ? out_[static_cast<std::size_t>(out)].rrPtr : 0;
+        grantOutput(out,
+                    arbitrateInputs(
+                        requests[static_cast<std::size_t>(out)], base));
+    }
+}
+
+void
 MeshRouter::grantOutput(int out, int in)
 {
     Output &port = out_[static_cast<std::size_t>(out)];
-    const Flit *head = peekInput(in);
+    const FlitHandle *head = peekInput(in);
     HRSIM_ASSERT(head != nullptr);
     port.owner = in;
-    port.wormPkt = head->packet;
+    port.wormSlot = head->slot;
     inputBound_[static_cast<std::size_t>(in)] = out;
     boundMask_ |= static_cast<PortMask>(1u << in);
     ownedMask_ |= static_cast<PortMask>(1u << out);
@@ -270,7 +264,9 @@ MeshRouter::grantOutput(int out, int in)
     }
 }
 
-void
+// Inline: the per-flit step of both evaluates. A call per owned port
+// per cycle costs more than the duplicated body.
+[[gnu::always_inline]] inline void
 MeshRouter::traverseOutput(int out, Cycle now)
 {
     Output &port = out_[static_cast<std::size_t>(out)];
@@ -280,17 +276,17 @@ MeshRouter::traverseOutput(int out, Cycle now)
         killOutput(out);
         return;
     }
-    const FifoView<Flit> src = port.src;
+    const FifoView<FlitHandle> src = port.src;
     if (src.empty())
         return; // worm starved: hold the port
-    const Flit *next = &src.front();
-    HRSIM_ASSERT(next->packet == port.wormPkt);
+    const FlitHandle *next = &src.front();
+    HRSIM_ASSERT(next->slot == port.wormSlot);
     bool tail;
     if (out == PortLocal) {
         // Ejection: the PM always sinks. Copy the flit out first —
         // the delivery callback runs after the pop (it may re-enter
         // this router through a synchronous response injection).
-        const Flit flit = *next;
+        const FlitHandle flit = *next;
         src.dropFront();
         if (port.srcUpstream)
             wakeNeighbor(port.srcUpstream);
@@ -298,15 +294,22 @@ MeshRouter::traverseOutput(int out, Cycle now)
         streamedFlits_ += static_cast<std::uint64_t>(!flit.isHead());
         tail = flit.isTail();
         if (acct_) {
-            if (flit.poisoned)
+            if (flit.poisoned())
                 ++acct_->droppedFlits;
             else
                 ++acct_->deliveredFlits;
         }
         // Poisoned worms (corrupted headers, or the kill token of a
         // truncated worm) drain out here but are never delivered.
-        if (tail && deliver_ && !flit.poisoned)
-            deliver_(packetFromFlit(flit), now);
+        if (tail && deliver_ && !flit.poisoned()) {
+            // Copy the packet out before the release frees its slot:
+            // a response injected by the callback may reuse it.
+            const Packet pkt = packets_->packet(flit.slot);
+            packets_->release(flit.slot);
+            deliver_(pkt, now);
+        } else {
+            packets_->release(flit.slot);
+        }
     } else {
         HRSIM_ASSERT(port.peerBuf != nullptr);
         if (!port.peer.canPush())
@@ -330,21 +333,18 @@ MeshRouter::traverseOutput(int out, Cycle now)
                 kill.poisoning = false;
         }
         // Stream the flit straight from the input front into the
-        // downstream buffer: one element copy, no pop-into-temporary.
-        if (poison) {
-            Flit copy = *next;
-            copy.poisoned = true;
-            port.peer.pushFrom(copy);
-        } else {
-            port.peer.pushFrom(*next);
-        }
+        // downstream buffer: one 12-byte handle copy.
+        FlitHandle copy = *next;
+        copy.flags |= static_cast<std::uint8_t>(
+            poison ? FlitHandle::Poisoned : 0);
+        port.peer.pushFrom(copy);
         hot_->changed = true;
         wakeNeighbor(port.neighbor);
         if (port.utilCounter != nullptr && *port.utilMeasuring)
             ++*port.utilCounter;
         HRSIM_TRACE_FLIT(tracerSlot_ ? *tracerSlot_ : nullptr,
-                         FlitEvent::Hop, next->packet, id_,
-                         port.peer.totalSize());
+                         FlitEvent::Hop, packets_->packet(next->slot).id,
+                         id_, port.peer.totalSize());
         streamedFlits_ +=
             static_cast<std::uint64_t>(!next->isHead());
         tail = next->isTail();
@@ -359,7 +359,7 @@ MeshRouter::traverseOutput(int out, Cycle now)
         if (port.owner == PortLocal)
             localSrc_ = LocalSrc::None;
         port.owner = -1;
-        port.wormPkt = 0;
+        port.wormSlot = 0;
         port.src = {};
         port.srcUpstream = nullptr;
     }
@@ -371,11 +371,11 @@ MeshRouter::killOutput(int out)
     Output &port = out_[static_cast<std::size_t>(out)];
     if (port.owner == -1)
         return; // nothing bound to the dead link yet
-    const FifoView<Flit> src = port.src;
+    const FifoView<FlitHandle> src = port.src;
     if (src.empty())
         return; // starved: the rest of the worm is still upstream
-    const Flit *next = &src.front();
-    HRSIM_ASSERT(next->packet == port.wormPkt);
+    const FlitHandle *next = &src.front();
+    HRSIM_ASSERT(next->slot == port.wormSlot);
     auto &kill = faults_->out[static_cast<std::size_t>(out)];
     if (!kill.killing) {
         kill.killing = true;
@@ -399,14 +399,19 @@ MeshRouter::killOutput(int out)
         HRSIM_ASSERT(port.peerBuf != nullptr);
         if (!port.peer.canPush())
             return; // wait for space; credit wake re-runs this
-        Flit token = *next;
-        token.index = token.sizeFlits - 1;
-        token.poisoned = true;
+        // The token takes over the live count of the flit it
+        // replaces, so the packet's slot stays held until it ejects.
+        FlitHandle token = *next;
+        token.index = static_cast<std::uint16_t>(
+            packets_->packet(next->slot).sizeFlits - 1);
+        token.flags = FlitHandle::Tail | FlitHandle::Poisoned;
         port.peer.pushFrom(token);
         wakeNeighbor(port.neighbor);
         kill.terminator = false;
-    } else if (acct_) {
-        ++acct_->droppedFlits;
+    } else {
+        packets_->release(next->slot);
+        if (acct_)
+            ++acct_->droppedFlits;
     }
     // Drain one flit per cycle, exactly the rate of a live link;
     // the drop frees the upstream slot, so credits flow and the
@@ -423,7 +428,7 @@ MeshRouter::killOutput(int out)
         if (port.owner == PortLocal)
             localSrc_ = LocalSrc::None;
         port.owner = -1;
-        port.wormPkt = 0;
+        port.wormSlot = 0;
         port.src = {};
         port.srcUpstream = nullptr;
         kill.killing = false;
@@ -443,9 +448,14 @@ void
 MeshRouter::inject(const Packet &pkt)
 {
     HRSIM_ASSERT(canInject(pkt));
+    HRSIM_ASSERT(pkt.sizeFlits <= UINT16_MAX);
     MeshFifo &queue = isRequest(pkt.type) ? outReq_ : outResp_;
-    for (std::uint32_t i = 0; i < pkt.sizeFlits; ++i)
-        queue.push(makeFlit(pkt, i));
+    const std::uint32_t slot = packets_->add(pkt, pkt.sizeFlits);
+    for (std::uint32_t i = 0; i < pkt.sizeFlits; ++i) {
+        queue.push({slot, pkt.dst, static_cast<std::uint16_t>(i),
+                    i + 1 == pkt.sizeFlits ? FlitHandle::Tail
+                                           : std::uint8_t{0}});
+    }
 }
 
 const MeshFifo &
@@ -468,15 +478,17 @@ void
 MeshRouter::saveState(CkptWriter &w) const
 {
     for (const auto &buf : inBuf_)
-        saveFlitFifo(w, buf);
-    saveFlitFifo(w, outResp_);
-    saveFlitFifo(w, outReq_);
+        saveHandleFifo(w, buf, *packets_);
+    saveHandleFifo(w, outResp_, *packets_);
+    saveHandleFifo(w, outReq_, *packets_);
     w.u8(static_cast<std::uint8_t>(localSrc_));
     for (const int bound : inputBound_)
         w.i32(bound);
     for (const Output &port : out_) {
         w.i32(port.owner);
-        w.u64(port.wormPkt);
+        // Snapshots name the worm by packet id (0 for a free port):
+        // slots are not stable across a reload.
+        w.u64(port.owner == -1 ? 0 : packets_->packet(port.wormSlot).id);
         w.i32(port.rrPtr);
     }
     w.u8(boundMask_);
@@ -487,18 +499,21 @@ MeshRouter::saveState(CkptWriter &w) const
 }
 
 void
-MeshRouter::loadState(CkptReader &r)
+MeshRouter::loadState(CkptReader &r, PacketTableLoader &loader)
 {
     for (auto &buf : inBuf_)
-        loadFlitFifo(r, buf);
-    loadFlitFifo(r, outResp_);
-    loadFlitFifo(r, outReq_);
+        loadHandleFifo(r, buf, loader);
+    loadHandleFifo(r, outResp_, loader);
+    loadHandleFifo(r, outReq_, loader);
     localSrc_ = static_cast<LocalSrc>(r.u8());
     for (int &bound : inputBound_)
         bound = r.i32();
     for (Output &port : out_) {
         port.owner = r.i32();
-        port.wormPkt = r.u64();
+        const PacketId worm = r.u64();
+        port.wormSlot = 0;
+        if (port.owner != -1)
+            loader.defer(worm, &port.wormSlot);
         port.rrPtr = r.i32();
     }
     boundMask_ = r.u8();

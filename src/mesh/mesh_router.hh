@@ -18,6 +18,7 @@
 #define HRSIM_MESH_MESH_ROUTER_HH
 
 #include <array>
+#include <bit>
 #include <functional>
 
 #include "ckpt/state_io.hh"
@@ -26,6 +27,7 @@
 #include "fault/fault_plan.hh"
 #include "obs/flit_trace.hh"
 #include "proto/packet.hh"
+#include "proto/packet_table.hh"
 #include "sim/columns.hh"
 #include "stats/utilization.hh"
 
@@ -47,7 +49,28 @@ enum MeshPort : int
 MeshPort oppositePort(MeshPort port);
 
 /**
- * Router queues skip any inline small-buffer: six queues per router
+ * Output arbitration: the requesting input (bit i of @a requests,
+ * nonzero) that a scan starting at input @a base and wrapping past
+ * the local port reaches first. Round-robin passes the port's
+ * rotating pointer as @a base, fixed priority passes 0. Branch-free:
+ * the mask is rotated right by @a base, so its lowest set bit is the
+ * scan's winner, counted from @a base.
+ */
+inline int
+arbitrateInputs(PortMask requests, int base)
+{
+    const unsigned req = requests;
+    const unsigned rotated =
+        (req >> base | req << (NumMeshPorts - base)) &
+        ((1u << NumMeshPorts) - 1);
+    const int in = base + std::countr_zero(rotated);
+    return in >= NumMeshPorts ? in - NumMeshPorts : in;
+}
+
+/**
+ * Router queues hold 12-byte FlitHandles into the network's
+ * PacketTable, not full Flits (see proto/packet_table.hh).
+ * They skip any inline small-buffer: six queues per router
  * would grow MeshRouter ~3x, and the per-cycle sweep over all
  * routers is cache-footprint-bound (measured slower inline, both
  * with heap-allocated routers and with the contiguous pool layout).
@@ -56,7 +79,7 @@ MeshPort oppositePort(MeshPort port);
  * the neighbors' canPush() probes read hot columns instead of router
  * objects.
  */
-using MeshFifo = ColumnFifo<Flit>;
+using MeshFifo = ColumnFifo<FlitHandle>;
 
 /**
  * Per-router fault state, allocated by MeshNetwork only while a
@@ -146,6 +169,8 @@ class MeshRouter
      *        elements (the network passes one arena segment per
      *        router so a router's buffered flits sit on adjacent
      *        cache lines).
+     * @param packets The network's packet table, which the queued
+     *        handles point into.
      * @param states The six queue cursor blocks (inBuf_[0..3],
      *        outResp_, outReq_ in that order) in the network's
      *        FifoState column.
@@ -153,7 +178,8 @@ class MeshRouter
      */
     MeshRouter(NodeId id, int width, std::uint32_t buffer_flits,
                std::uint32_t queue_flits, bool round_robin,
-               Flit *storage, FifoState *states, RouterFlags *flags);
+               FlitHandle *storage, PacketTable *packets,
+               FifoState *states, RouterFlags *flags);
 
     MeshRouter(const MeshRouter &) = delete;
     MeshRouter &operator=(const MeshRouter &) = delete;
@@ -310,9 +336,25 @@ class MeshRouter
      * unconsumed poke is what re-wakes a back-pressured worm). The
      * cached source views and upstream pointers of granted ports are
      * derived; loadState() rebuilds them with grantOutput()'s recipe.
+     * Queues are saved as full flits; loadState() re-adds their
+     * packets through @a loader, and each owned port's worm slot
+     * resolves in the loader's finish(), once every router loaded.
      */
     void saveState(CkptWriter &w) const;
-    void loadState(CkptReader &r);
+    void loadState(CkptReader &r, PacketTableLoader &loader);
+
+    /** Visit every buffered flit handle (tick boundary; tests). */
+    template <typename Fn>
+    void
+    forEachFlit(Fn &&fn) const
+    {
+        for (const MeshFifo *queue :
+             {&inBuf_[0], &inBuf_[1], &inBuf_[2], &inBuf_[3], &outResp_,
+              &outReq_}) {
+            for (std::size_t i = 0; i < queue->size(); ++i)
+                fn(queue->at(i));
+        }
+    }
 
   private:
     /** Straight-line evaluate (the reference engine). */
@@ -320,6 +362,15 @@ class MeshRouter
 
     /** Mask-driven evaluate: LUT routing, ctz port iteration. */
     void evaluateFast(Cycle now);
+
+    /**
+     * Grant every free output that some head wants: @a requests[out]
+     * is the mask of unbound inputs routed to @a out, and @a wanted
+     * has a bit for each nonzero entry.
+     */
+    void grantRequests(
+        const std::array<PortMask, NumMeshPorts> &requests,
+        PortMask wanted);
 
     /** Bind output @a out to the worm whose head waits on @a in. */
     void grantOutput(int out, int in);
@@ -334,19 +385,17 @@ class MeshRouter
      */
     void killOutput(int out);
 
-    /** Next flit availabe on input @a in (nullptr if none). */
-    const Flit *peekInput(int in) const;
+    /** Next flit available on input @a in (nullptr if none). */
+    const FlitHandle *peekInput(int in) const;
 
     /** Poke + wake @a neighbor (flit arrival or credit event). */
     void
     wakeNeighbor(MeshRouter *neighbor)
     {
-        // Test-before-set: at saturation almost every neighbor is
-        // already poked, and skipping the redundant store keeps its
-        // flag line clean in this core's cache.
-        RouterFlags &hot = *neighbor->hot_;
-        if (!hot.poked) // stay up next cycle
-            hot.poked = true;
+        // Unconditional store: a test-before-set branch on the flag
+        // mispredicts whenever load is uneven, and the line is about
+        // to be written by the mask add anyway.
+        neighbor->hot_->poked = true; // stay up next cycle
         // and wake if sleeping
         wakeMask_->add(static_cast<std::uint32_t>(neighbor->id_));
     }
@@ -371,12 +420,13 @@ class MeshRouter
     struct Output
     {
         int owner = -1; //!< input currently holding this port
-        PacketId wormPkt = 0;
+        /** The owner worm's packet slot (checked per streamed flit). */
+        std::uint32_t wormSlot = 0;
         int rrPtr = 0;  //!< round-robin arbitration pointer
         /** The owner worm's source queue, cached at grant so each
          * streamed flit skips the peekInput() owner/localSrc
          * dispatch (the queue is fixed for the worm's lifetime). */
-        FifoView<Flit> src{};
+        FifoView<FlitHandle> src{};
         /** Credit-wake target for pops from src: the upstream
          * feeder for directional inputs, null for the local port. */
         MeshRouter *srcUpstream = nullptr;
@@ -384,7 +434,7 @@ class MeshRouter
         /** The neighbor's facing input buffer (cached at connect). */
         MeshFifo *peerBuf = nullptr;
         /** Flat handle onto peerBuf. */
-        FifoView<Flit> peer{};
+        FifoView<FlitHandle> peer{};
         UtilizationTracker *util = nullptr;
         UtilizationTracker::LinkId link = 0;
         /** Cached tracker internals (cacheUtilCounters): one flag
@@ -414,6 +464,7 @@ class MeshRouter
     std::array<MeshRouter *, 4> upstream_{};
 
     DeliverFn deliver_;
+    PacketTable *packets_; //!< the network's in-flight packets
     FlitTracer *const *tracerSlot_ = nullptr;
     ActiveMask *wakeMask_ = nullptr; //!< the network's router mask
     /** Fault state + ledger; null (the fast case) without a plan. */

@@ -97,6 +97,15 @@ struct Packet
  * would in hardware, but replicating the fields keeps the simulator
  * simple and lets the receiver rebuild the Packet without a central
  * in-flight registry.
+ *
+ * The mesh queues hold 12-byte FlitHandles into a per-network
+ * PacketTable instead (proto/packet_table.hh): a mesh worm is 8-36
+ * flits, so its metadata copies dominated the per-hop bytes. The ring
+ * and the slotted ring keep full Flits. Ring worms are 1-9 flits on
+ * 128-bit channels, and the ring tick is bound by arbitration and
+ * admission, not by bytes: a ring Flit narrowed to 40 bytes measured
+ * only 5% faster on the saturated ring benchmark, too little to pay
+ * for a second table and its checkpoint mapping on the ring.
  */
 struct Flit
 {

@@ -90,18 +90,20 @@ class ActiveMask
         count_ = 0;
     }
 
-    /** Wake @a id. Idempotent; O(1). */
+    /**
+     * Wake @a id. Idempotent; O(1). Branch-free: whether a wake
+     * finds its target already awake changes from wake to wake, so
+     * testing that first mispredicts.
+     */
     void
     add(std::uint32_t id)
     {
         const std::size_t w = id / 64;
         HRSIM_ASSERT(w < words_.size());
-        const std::uint64_t bit = std::uint64_t{1} << (id % 64);
-        if (words_[w] & bit)
-            return;
-        words_[w] |= bit;
+        const std::uint64_t word = words_[w];
+        count_ += static_cast<std::size_t>(~word >> (id % 64) & 1u);
+        words_[w] = word | std::uint64_t{1} << (id % 64);
         summary_[w / 64] |= std::uint64_t{1} << (w % 64);
-        ++count_;
     }
 
     bool
@@ -160,21 +162,23 @@ class ActiveMask
                     static_cast<std::size_t>(std::countr_zero(sum));
                 sum &= sum - 1;
                 std::uint64_t word = words_[w];
+                std::uint64_t kept = word;
                 while (word != 0) {
                     const std::uint64_t bit = word & (~word + 1);
                     const auto id = static_cast<std::uint32_t>(
                         w * 64 + static_cast<std::size_t>(
                                      std::countr_zero(word)));
                     word &= word - 1;
-                    if (!pred(id)) {
-                        words_[w] &= ~bit;
-                        --count_;
-                    }
+                    // Branch-free drop: the keep/sleep verdict is
+                    // data-dependent, so clear the bit by arithmetic.
+                    const std::uint64_t drop =
+                        static_cast<std::uint64_t>(!pred(id));
+                    kept &= ~(bit * drop);
+                    count_ -= static_cast<std::size_t>(drop);
                 }
-                if (words_[w] == 0) {
-                    summary_[s] &=
-                        ~(std::uint64_t{1} << (w % 64));
-                }
+                words_[w] = kept;
+                summary_[s] &= ~(static_cast<std::uint64_t>(kept == 0)
+                                 << (w % 64));
             }
         }
     }

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,7 +29,9 @@
 #include "core/sweep.hh"
 #include "core/system.hh"
 #include "fault/fault_plan.hh"
+#include "mesh/mesh_network.hh"
 #include "obs/manifest.hh"
+#include "proto/packet_factory.hh"
 
 #include <filesystem>
 #include <fstream>
@@ -260,6 +263,70 @@ TEST(CheckpointBitIdentity, AdaptiveRunRestoresControllerState)
     cfg.workload.outstandingT = 4;
     cfg.sim.stop.relHw = 0.05;
     roundTrip(cfg, 1250, "adaptive");
+}
+
+TEST(CheckpointBitIdentity, MeshWormUpstreamOfItsOwnedPortRestores)
+{
+    // A 20-flit write from PM 2 to PM 0 of a 3x3 mesh with 1-flit
+    // buffers ejects at router 0 through its east input, which is
+    // empty every other tick boundary. Save at such a boundary after
+    // the head ejected: router 0 still owns its local port, and all
+    // of the worm's remaining flits sit upstream in routers 1 and 2,
+    // which load after it, so the port's worm slot can only resolve
+    // once every router has loaded. The restored network must
+    // re-save the same bytes and finish the run exactly like the
+    // donor.
+    const MeshNetwork::Params params{3, 64, 1};
+    PacketFactory factory(ChannelSpec::mesh(), 64);
+    using Log = std::vector<std::pair<PacketId, Cycle>>;
+    const auto make = [&params](Log &log) {
+        auto net = std::make_unique<MeshNetwork>(params);
+        net->setActiveScheduling(true);
+        net->setDeliveryHandler([&log](const Packet &pkt, Cycle when) {
+            log.emplace_back(pkt.id, when);
+        });
+        return net;
+    };
+    Log donor_log;
+    Log restored_log;
+    const auto donor = make(donor_log);
+    donor->inject(2, factory.makeRequest(2, 0, false, 0));
+    donor->inject(5, factory.makeRequest(5, 3, false, 0));
+    Cycle now = 0;
+    bool head_arrived = false;
+    const auto split = [&] {
+        return head_arrived && donor->router(0).flitCount() == 0 &&
+               donor->router(1).flitCount() +
+                       donor->router(2).flitCount() !=
+                   0;
+    };
+    while (!split() && now < 200) {
+        donor->tick(now++);
+        head_arrived |= donor->router(0).flitCount() != 0;
+    }
+    ASSERT_TRUE(split()) << "no tick boundary splits the worm";
+    ASSERT_TRUE(donor_log.empty());
+
+    CkptWriter saved;
+    donor->saveState(saved);
+    const auto restored = make(restored_log);
+    CkptReader reader(saved.data());
+    restored->loadState(reader);
+    EXPECT_TRUE(reader.atEnd());
+    CkptWriter resaved;
+    restored->saveState(resaved);
+    EXPECT_EQ(resaved.data(), saved.data());
+    EXPECT_EQ(restored->packets().liveSlots(),
+              donor->packets().liveSlots());
+
+    for (Cycle end = now + 200; now < end; ++now) {
+        donor->tick(now);
+        restored->tick(now);
+    }
+    EXPECT_EQ(donor_log.size(), 2u);
+    EXPECT_EQ(restored_log, donor_log);
+    EXPECT_EQ(restored->flitsInFlight(), 0u);
+    EXPECT_EQ(restored->packets().liveSlots(), 0u);
 }
 
 TEST(CheckpointBitIdentity, PeriodicSavesRestoreFromTheLast)

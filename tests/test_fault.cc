@@ -17,7 +17,10 @@
  *     identical to a config that never mentions the subsystem.
  *  5. Conservation — injected == delivered + dropped + in-flight at
  *     every cycle boundary, for link-down and corrupt windows on
- *     both fabrics; the fabric drains rather than wedges.
+ *     both fabrics; the fabric drains rather than wedges. On the
+ *     mesh the packet table holds one live slot per packet with a
+ *     buffered flit, kill tokens and poisoned worms included, and
+ *     none once the fabric drained.
  *  6. Degradation — timeouts reissue lost transactions, abandonment
  *     frees their slots, and stale (duplicate) responses are
  *     swallowed without corrupting the outstanding count.
@@ -25,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -32,6 +36,8 @@
 #include "core/sweep.hh"
 #include "core/system.hh"
 #include "fault/fault_plan.hh"
+#include "mesh/mesh_network.hh"
+#include "proto/packet_factory.hh"
 
 namespace hrsim
 {
@@ -320,6 +326,25 @@ TEST(FaultGating, ActivePlanRegistersTheFaultMetrics)
 // 5. Conservation
 // ---------------------------------------------------------------
 
+/**
+ * Mesh packet-table conservation at a tick boundary: one live slot
+ * per distinct packet among the buffered flits (no-op on rings).
+ */
+void
+expectTableMatchesBuffers(Network &network)
+{
+    auto *mesh = dynamic_cast<MeshNetwork *>(&network);
+    if (mesh == nullptr)
+        return;
+    std::set<PacketId> packets;
+    for (NodeId id = 0; id < mesh->numProcessors(); ++id) {
+        mesh->router(id).forEachFlit([&](const FlitHandle &flit) {
+            packets.insert(mesh->packets().packet(flit.slot).id);
+        });
+    }
+    EXPECT_EQ(mesh->packets().liveSlots(), packets.size());
+}
+
 void
 expectConservation(const SystemConfig &cfg)
 {
@@ -335,6 +360,8 @@ expectConservation(const SystemConfig &cfg)
                   acct.deliveredFlits + acct.droppedFlits +
                       system.network().flitsInFlight())
             << "cycle " << system.now();
+        SCOPED_TRACE("cycle " + std::to_string(system.now()));
+        expectTableMatchesBuffers(system.network());
     }
     // The windows are long past: the fabric must have drained and
     // kept delivering (no wedge, no watchdog stall).
@@ -395,13 +422,76 @@ TEST(FaultConservation, StallWindowsDelayButDropNothing)
     cfg.sim = quickSim();
     cfg.faultPlan.events = {spec("mesh.r4:stall@1000..1400")};
     System system(cfg);
-    system.step(8000);
+    system.step(1200); // inside the stall window
+    expectTableMatchesBuffers(system.network());
+    system.step(6800);
+    expectTableMatchesBuffers(system.network());
     const FaultAccounting &acct = system.faults()->accounting();
     EXPECT_EQ(acct.droppedFlits, 0u);
     EXPECT_EQ(acct.droppedWorms, 0u);
     EXPECT_GT(acct.deliveredFlits, 0u);
     EXPECT_EQ(acct.injectedFlits,
               acct.deliveredFlits + system.network().flitsInFlight());
+}
+
+TEST(FaultConservation, MeshPacketTableDrainsToZero)
+{
+    // Network-level, so the traffic can stop and the fabric drain:
+    // every PM sends to every other through a link-down window (kill
+    // tokens truncate worms mid-flight) and a corrupt window
+    // (poisoned worms eject undelivered). Each tick boundary must
+    // keep the table equal to the buffered packets; the drained
+    // fabric must hold no slot at all.
+    MeshNetwork net(MeshNetwork::Params{4, 64, 4});
+    FaultAccounting acct;
+    net.setFaultAccounting(&acct);
+    net.setActiveScheduling(true);
+    net.setDeliveryHandler([](const Packet &, Cycle) {});
+    PacketFactory factory(ChannelSpec::mesh(), 64);
+    const FaultEvent down = spec("mesh.r5.east:down@1..2");
+    const FaultEvent corrupt = spec("mesh.r9.north:corrupt@1..2");
+
+    Cycle now = 0;
+    std::vector<std::pair<NodeId, Packet>> backlog;
+    for (int round = 0; round < 3; ++round) {
+        for (NodeId src = 0; src < 16; ++src) {
+            for (NodeId dst = 0; dst < 16; ++dst) {
+                if (dst != src) {
+                    backlog.emplace_back(
+                        src, factory.makeRequest(src, dst, round != 1,
+                                                 now));
+                }
+            }
+        }
+    }
+    std::size_t next = 0;
+    while ((next < backlog.size() || net.flitsInFlight() != 0) &&
+           now < 100000) {
+        if (now == 40) {
+            net.applyFault(down, true);
+            net.applyFault(corrupt, true);
+        } else if (now == 400) {
+            net.applyFault(down, false);
+            net.applyFault(corrupt, false);
+        }
+        while (next < backlog.size() &&
+               net.canInject(backlog[next].first,
+                             backlog[next].second)) {
+            net.inject(backlog[next].first, backlog[next].second);
+            ++next;
+        }
+        net.tick(now++);
+        if (now % 16 == 0) {
+            SCOPED_TRACE("cycle " + std::to_string(now));
+            expectTableMatchesBuffers(net);
+        }
+    }
+    ASSERT_EQ(next, backlog.size());
+    ASSERT_EQ(net.flitsInFlight(), 0u);
+    EXPECT_GT(acct.droppedWorms, 0u);
+    EXPECT_GT(acct.poisonedWorms, 0u);
+    EXPECT_EQ(acct.injectedFlits, acct.deliveredFlits + acct.droppedFlits);
+    EXPECT_EQ(net.packets().liveSlots(), 0u);
 }
 
 // ---------------------------------------------------------------

@@ -98,6 +98,33 @@ TEST(MeshRouterUnit, EcubeRoutesXFirst)
     EXPECT_EQ(center.routeOf(2), PortEast); // (2,0)
 }
 
+TEST(MeshRouterUnit, MaskArbiterMatchesStepScan)
+{
+    // The step scan the mask arbiter replaces: from base, wrapping,
+    // grant the first requesting input. The zero mask never reaches
+    // the arbiter (an output no head wants is not visited).
+    const auto step_scan = [](unsigned requests, int base) {
+        for (int step = 0; step < NumMeshPorts; ++step) {
+            const int in = (base + step) % NumMeshPorts;
+            if (requests & (1u << in))
+                return in;
+        }
+        return -1;
+    };
+    for (unsigned requests = 1; requests < 32; ++requests) {
+        const auto mask = static_cast<PortMask>(requests);
+        for (int base = 0; base < NumMeshPorts; ++base) {
+            // Round-robin scans from the port's pointer...
+            EXPECT_EQ(arbitrateInputs(mask, base),
+                      step_scan(requests, base))
+                << "requests " << requests << " base " << base;
+        }
+        // ...fixed priority always from input 0.
+        EXPECT_EQ(arbitrateInputs(mask, 0), step_scan(requests, 0))
+            << "requests " << requests;
+    }
+}
+
 TEST(MeshRouterUnit, RouteLutMatchesCoordinateExhaustive)
 {
     // The LUT rows built by MeshNetwork must agree with the

@@ -293,6 +293,10 @@ main(int argc, char **argv)
     bool fork_seed_given = false;
     std::string sweep_dir;
     bool sweep_resume = false;
+    // Usage text follows argument errors only: a ConfigError raised
+    // once a run is being built (say, a fault target the network
+    // lacks) prints alone instead of under a hundred lines of help.
+    bool args_parsed = false;
 
     try {
         for (int i = 1; i < argc; ++i) {
@@ -566,6 +570,7 @@ main(int argc, char **argv)
                 opts.resume = sweep_resume;
                 opts.checkpointEvery = journal_every;
             }
+            args_parsed = true;
             SweepRunner runner(opts);
             const auto wall_start = std::chrono::steady_clock::now();
             const std::vector<RunResult> results = runner.run(points);
@@ -668,6 +673,7 @@ main(int argc, char **argv)
                          "warning: --jobs only applies to --sweep "
                          "mode; running the single point serially\n");
         }
+        args_parsed = true;
         System system(cfg);
         std::ofstream trace_stream;
         std::unique_ptr<FlitTracer> tracer;
@@ -739,7 +745,8 @@ main(int argc, char **argv)
         return 0;
     } catch (const ConfigError &err) {
         std::fprintf(stderr, "error: %s\n", err.what());
-        usage(argv[0]);
+        if (!args_parsed)
+            usage(argv[0]);
         return 1;
     } catch (const StallError &err) {
         std::fprintf(stderr, "simulation stalled: %s\n", err.what());
