@@ -104,7 +104,7 @@ struct Packet
  * and the slotted ring keep full Flits. Ring worms are 1-9 flits on
  * 128-bit channels, and the ring tick is bound by arbitration and
  * admission, not by bytes: a ring Flit narrowed to 40 bytes measured
- * only 5% faster on the saturated ring benchmark, too little to pay
+ * only 4-5% faster on the saturated ring benchmark, too little to pay
  * for a second table and its checkpoint mapping on the ring.
  */
 struct Flit
